@@ -18,6 +18,7 @@ from fkdv.stability import (
     kdv_soliton_norm_derivative,
     reports_to_csv,
 )
+from fkdv.waves import write_csv
 
 OUTDIR = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("sweep_out")
 SPEEDS = np.linspace(0.25, 4.0, 16)
@@ -27,10 +28,7 @@ def main():
     OUTDIR.mkdir(parents=True, exist_ok=True)
 
     rep = gegenbauer_verdict(GegenbauerSeriesSpec(), jmax=200)
-    with open(OUTDIR / "gegenbauer_bj.csv", "w") as fh:
-        fh.write("j,b_j\n")
-        for j, bj in enumerate(rep.series):
-            fh.write(f"{j},{bj:.17g}\n")
+    write_csv(OUTDIR / "gegenbauer_bj.csv", ("j", "b_j"), enumerate(rep.series))
     print(f"fifth-soliton: |b0|={abs(rep.terms['b0']):.4e} "
           f"sum={rep.partial_sum:.4e} -> {rep.verdict}")
 

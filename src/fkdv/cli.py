@@ -1,7 +1,9 @@
 """Command-line front end: profile / verify / stability / simulate.
 
 Configuration precedence: built-in defaults < ``--config`` file (key=value
-lines, # comments) < command-line flags.  Exit codes: 0 success, 1 a
+lines, # comments, keys named like the flags) < command-line flags.  The
+file's values become the subcommand's defaults, so argparse converts and
+checks them like flag values.  Exit codes: 0 success, 1 a
 verification or stability check failed (or the run blew up), 2 usage or
 parameter-validation errors.  All CSV output uses full round-trip precision
 so identical configurations reproduce byte-identical files.
@@ -10,8 +12,8 @@ so identical configurations reproduce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -21,12 +23,9 @@ _USAGE_ERROR = 2
 _CHECK_FAILED = 1
 
 
-def _family_arg(parser, required: bool = True):
-    parser.add_argument("--family", choices=waves.FAMILIES, required=required,
+def _wave_args(parser):
+    parser.add_argument("--family", choices=waves.FAMILIES, required=True,
                         help="traveling-wave family")
-
-
-def _medium_args(parser):
     parser.add_argument("--gamma", type=float, default=1.0, help="steepening coefficient")
     parser.add_argument("--alpha", type=float, default=1.0, help="third-order dispersion")
     parser.add_argument("--beta", type=float, default=1.0, help="fifth-order dispersion")
@@ -45,40 +44,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = dict(formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    def command(name, help_text):
+        p = sub.add_parser(name, help=help_text,
+                           formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        _wave_args(p)
+        return p
 
-    p_prof = sub.add_parser("profile", help="build a wave and write its samples", **common)
-    _family_arg(p_prof)
-    _medium_args(p_prof)
+    p_prof = command("profile", "build a wave and write its samples")
     p_prof.add_argument("--samples", type=int, default=0, help="sample count (0 = family default)")
-    p_prof.add_argument("--out", default="fkdv", help="output path prefix")
-    p_prof.add_argument("--config", default=None, help="key=value config file")
 
-    p_ver = sub.add_parser("verify", help="run the verification battery", **common)
-    _family_arg(p_ver)
-    _medium_args(p_ver)
+    p_ver = command("verify", "run the verification battery")
     p_ver.add_argument("--samples", type=int, default=0, help="sample count (0 = family default)")
     p_ver.add_argument("--nmax", type=int, default=12, help="coefficient truncation")
     p_ver.add_argument("--speed-scale", type=float, default=1.0,
                        help="negative control: scale the speed used in the residual check")
-    p_ver.add_argument("--out", default="fkdv", help="output path prefix")
-    p_ver.add_argument("--config", default=None, help="key=value config file")
 
-    p_stab = sub.add_parser("stability", help="evaluate the stability functionals", **common)
-    _family_arg(p_stab)
-    _medium_args(p_stab)
+    p_stab = command("stability", "evaluate the stability functionals")
     p_stab.add_argument("--mode", choices=("fixed-flux", "fixed-period", "both"),
                         default="both", help="what is held fixed while differentiating in c")
     p_stab.add_argument("--c-grid", default=None,
                         help="comma-separated speeds (default: the single --c)")
     p_stab.add_argument("--jmax", type=int, default=200, help="series truncation")
-    p_stab.add_argument("--jobs", type=int, default=1, help="parallel sweep points")
-    p_stab.add_argument("--out", default="fkdv", help="output path prefix")
-    p_stab.add_argument("--config", default=None, help="key=value config file")
 
-    p_sim = sub.add_parser("simulate", help="evolve a (perturbed) wave", **common)
-    _family_arg(p_sim)
-    _medium_args(p_sim)
+    p_sim = command("simulate", "evolve a (perturbed) wave")
     p_sim.add_argument("--gridN", dest="grid_n", type=int, default=0,
                        help="grid points, power of two (0 = family default)")
     p_sim.add_argument("--dt", type=float, default=0.0, help="time step (0 = automatic)")
@@ -88,33 +76,22 @@ def build_parser() -> argparse.ArgumentParser:
                        help="perturbation kind:eps, kind in {scale,cosine,noise}")
     p_sim.add_argument("--seed", type=int, default=0, help="seed for noise perturbations")
     p_sim.add_argument("--record-every", type=int, default=50, help="diagnostics cadence")
-    p_sim.add_argument("--out", default="fkdv", help="output path prefix")
-    p_sim.add_argument("--config", default=None, help="key=value config file")
 
+    for p in sub.choices.values():
+        p.add_argument("--out", default="fkdv", help="output path prefix")
+        p.add_argument("--config", default=None, help="key=value config file")
+        p.set_defaults(command_parser=p)
     return parser
 
 
-def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser,
-                       argv: list):
-    """Overlay file values onto defaults, keeping explicit flags on top."""
-    if not getattr(args, "config", None):
-        return args
+def _config_defaults(parser: argparse.ArgumentParser, path: str):
+    """Install the key=value lines of ``path`` as defaults of ``parser``."""
     try:
-        with open(args.config) as fh:
+        with open(path) as fh:
             lines = fh.readlines()
     except OSError as exc:
         parser.error(f"cannot read config file: {exc}")
-    known = {a.replace("-", "_") for a in vars(args)}
-    explicit = set()
-    for tok in argv:
-        if tok.startswith("--"):
-            explicit.add(tok[2:].split("=")[0].replace("-", "_"))
-            if tok[2:].split("=")[0] == "C":
-                explicit.add("cee")
-            if tok[2:].split("=")[0] == "A":
-                explicit.add("flux_a")
-            if tok[2:].split("=")[0] == "gridN":
-                explicit.add("grid_n")
+    defaults = {}
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -122,25 +99,11 @@ def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
         if "=" not in line:
             parser.error(f"config line {lineno}: expected key=value, got {raw.strip()!r}")
         key, value = (s.strip() for s in line.split("=", 1))
-        key_norm = {"C": "cee", "A": "flux_a", "gridN": "grid_n"}.get(
-            key, key.replace("-", "_"))
-        if key_norm not in known or key_norm in ("config", "command"):
+        action = parser._option_string_actions.get("--" + key.replace("_", "-"))
+        if action is None or action.dest in ("config", "help"):
             parser.error(f"config line {lineno}: unknown key {key!r}")
-        if key_norm in explicit:
-            continue
-        current = getattr(args, key_norm)
-        try:
-            if isinstance(current, bool):
-                setattr(args, key_norm, value.lower() in ("1", "true", "yes"))
-            elif isinstance(current, int):
-                setattr(args, key_norm, int(value))
-            elif isinstance(current, float):
-                setattr(args, key_norm, float(value))
-            else:
-                setattr(args, key_norm, value)
-        except ValueError:
-            parser.error(f"config line {lineno}: bad value for {key!r}: {value!r}")
-    return args
+        defaults[action.dest] = value
+    parser.set_defaults(**defaults)
 
 
 def _build_profile(args) -> waves.WaveProfile:
@@ -174,22 +137,13 @@ def cmd_verify(args) -> int:
     profile = _build_profile(args)
     if args.speed_scale != 1.0:
         # tamper with the propagation speed to exercise the failure path
-        bad = waves.MediumParams(
-            gamma=profile.params.gamma, alpha=profile.params.alpha,
-            beta=profile.params.beta, c=profile.params.c * args.speed_scale,
-            cee=profile.params.cee, flux_a=profile.params.flux_a,
-            flux_b=profile.params.flux_b)
-        profile = waves.WaveProfile(
-            family=profile.family, params=bad, cnoidal=profile.cnoidal,
-            amplitude=profile.amplitude, xi=profile.xi, u=profile.u,
-            periodic=profile.periodic, _evaluator=profile._evaluator)
+        bad = dataclasses.replace(profile.params, c=profile.params.c * args.speed_scale)
+        profile = dataclasses.replace(profile, params=bad)
 
     failures = []
     check = waves.conservation_residuals(profile)
-    np.savetxt(
-        f"{args.out}_residuals.csv",
-        np.column_stack([check.xi, check.residual1, check.residual2]),
-        delimiter=",", header="xi,residual1,residual2", comments="", fmt="%.17g")
+    waves.write_csv(f"{args.out}_residuals.csv", ("xi", "residual1", "residual2"),
+                    zip(check.xi, check.residual1, check.residual2))
 
     std1 = float(np.std(check.law1))
     if std1 / check.scale1 > 1e-6:
@@ -209,10 +163,7 @@ def cmd_verify(args) -> int:
 
     if profile.periodic:
         nmax = args.nmax
-        if profile.family == waves.KDV_CNOIDAL:
-            analytic = fourier.cn2_coeffs(profile.cnoidal, nmax)
-        else:
-            analytic = fourier.cn4_coeffs_halfmodulus(profile, nmax)
+        analytic = fourier.analytic_coeffs(profile, nmax)
         numeric = fourier.dft_coeffs(profile, nmax)
         rows = []
         worst = 0.0
@@ -222,18 +173,12 @@ def cmd_verify(args) -> int:
             rel = err / max(abs(analytic[n]), floor)
             worst = max(worst, rel)
             rows.append((n, analytic[n], numeric[n], rel))
-        with open(f"{args.out}_coeffs.csv", "w") as fh:
-            fh.write("n,analytic,dft,rel_err\n")
-            for n, a, d, r in rows:
-                fh.write(f"{n},{a:.17g},{d:.17g},{r:.17g}\n")
+        waves.write_csv(f"{args.out}_coeffs.csv", ("n", "analytic", "dft", "rel_err"), rows)
         if worst > 1e-8:
             failures.append(f"coefficient mismatch: worst floored rel err {worst:.3e}")
         print(f"coefficients: worst floored rel err {worst:.3e} over n <= {nmax}")
 
-        wide = (fourier.cn2_coeffs(profile.cnoidal, 2 * nmax)
-                if profile.family == waves.KDV_CNOIDAL
-                else fourier.cn4_coeffs_halfmodulus(profile, 2 * nmax))
-        report = fourier.pf2_check(wide, window=nmax)
+        report = fourier.pf2_check(fourier.analytic_coeffs(profile, 2 * nmax), window=nmax)
         if not report.passed:
             failures.append(f"PF(2) minor {report.min_minor:.3e} at {report.min_location}")
         print(f"PF(2): min minor {report.min_minor:.3e} at {report.min_location} "
@@ -246,59 +191,21 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def _stability_reports(args):
-    speeds = ([float(s) for s in args.c_grid.split(",")]
-              if args.c_grid else [args.c])
-    reports = []
-    if args.family == waves.FIFTH_SOLITON:
-        spec = stability.GegenbauerSeriesSpec(gamma_coef=args.gamma)
-        rep = stability.gegenbauer_verdict(spec, jmax=args.jmax)
-        reports.append(rep)
-        return reports, speeds
-
-    if args.family == waves.KDV_SOLITON:
-        for c in speeds:
-            d = stability.kdv_soliton_norm_derivative(args.gamma, args.alpha, c)
-            reports.append(stability.StabilityReport(
-                family=args.family, c=c, norm_derivative=d, functional_i=None,
-                verdict="stable" if d > 0 else "not-stable-hypotheses"))
-        return reports, speeds
-
-    modes = ("fixed-flux", "fixed-period") if args.mode == "both" else (args.mode,)
-
-    def one(job):
-        c, mode = job
-        if args.family == waves.KDV_CNOIDAL:
-            return stability.cn2_norm_derivative(args.gamma, args.alpha, c,
-                                                 args.flux_a, mode=mode)
-        return stability.cn4_norm_derivative(args.gamma, args.beta, c)
-
-    jobs = [(c, m) for c in speeds
-            for m in (modes if args.family == waves.KDV_CNOIDAL else (None,))]
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(one, jobs))
-    else:
-        reports = [one(j) for j in jobs]
-    return reports, speeds
-
-
 def cmd_stability(args) -> int:
+    speeds = [float(s) for s in args.c_grid.split(",")] if args.c_grid else [args.c]
     try:
-        reports, _ = _stability_reports(args)
+        reports = stability.family_reports(args.family, args.gamma, args.alpha, args.beta,
+                                           speeds, args.flux_a, args.mode, args.jmax)
     except stability.StepSizeError as exc:
         print(f"FAIL: {exc}")
         return _CHECK_FAILED
     stability.reports_to_csv(reports, f"{args.out}_stability.csv")
-    if args.family == waves.FIFTH_SOLITON:
-        rep = reports[0]
-        with open(f"{args.out}_bj.csv", "w") as fh:
-            fh.write("j,b_j\n")
-            for j, bj in enumerate(rep.series):
-                fh.write(f"{j},{bj:.17g}\n")
-        print(f"|b0|        {abs(rep.terms['b0']):.6e}")
-        print(f"sum_(j>=1)  {rep.partial_sum:.6e}")
-        print(f"tail bound  {rep.tail_bound:.3e}")
+    for rep in reports:
+        if rep.series is not None:
+            waves.write_csv(f"{args.out}_bj.csv", ("j", "b_j"), enumerate(rep.series))
+            print(f"|b0|        {abs(rep.terms['b0']):.6e}")
+            print(f"sum_(j>=1)  {rep.partial_sum:.6e}")
+            print(f"tail bound  {rep.tail_bound:.3e}")
     for rep in reports:
         print(rep.summary())
     if any(r.verdict == "inconclusive" for r in reports):
@@ -359,7 +266,9 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    args = _apply_config_file(args, parser, argv)
+    if args.config:
+        _config_defaults(args.command_parser, args.config)
+        args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, waves.DegenerateModulusError) as exc:

@@ -187,6 +187,3 @@ class EllipticContext:
             D=legendre_D(k),
             q=math.exp(-math.pi * Kprime / K) if k > 0.0 else 0.0,
         )
-
-    def cn(self, z):
-        return jacobi_cn(z, self.k)

@@ -32,7 +32,6 @@ q^n/(1 - q^{2n}) = csch(n pi K'/K)/2):
 
 from __future__ import annotations
 
-import io
 import math
 import warnings
 from dataclasses import dataclass
@@ -40,13 +39,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elliptic import EllipticContext
-from .waves import FIFTH_CNOIDAL, CnoidalParams, WaveProfile
+from .waves import (CN4_MODULUS, FIFTH_CNOIDAL, KDV_CNOIDAL, CnoidalParams, WaveProfile,
+                    write_csv)
 
 __all__ = [
     "COSINE_CONVENTION",
     "CoeffSequence",
     "Pf2Report",
     "AliasingWarning",
+    "analytic_coeffs",
     "cn2_coeffs",
     "cn4_coeffs_halfmodulus",
     "cn4_series_general_k",
@@ -119,15 +120,7 @@ class CoeffSequence:
         return total
 
     def to_csv(self, path=None) -> str:
-        buf = io.StringIO()
-        buf.write("n,coeff\n")
-        for n, v in enumerate(self.values):
-            buf.write(f"{n},{v:.17g}\n")
-        text = buf.getvalue()
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text)
-        return text
+        return write_csv(path, ("n", "coeff"), enumerate(self.values))
 
 
 def cn2_coeffs(cn: CnoidalParams, n_max: int) -> CoeffSequence:
@@ -158,7 +151,7 @@ def cn4_coeffs_halfmodulus(profile: WaveProfile, n_max: int) -> CoeffSequence:
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     p = profile.params
-    ctx = EllipticContext.from_modulus(math.sqrt(2.0) / 2.0)
+    ctx = EllipticContext.from_modulus(CN4_MODULUS)
     vals = np.zeros(n_max + 1)
     vals[0] = 5.0 * p.c / (6.0 * p.gamma)
     pref = 5.0 * p.c * math.pi ** 4 / (6.0 * p.gamma * ctx.K ** 4)
@@ -171,6 +164,15 @@ def cn4_coeffs_halfmodulus(profile: WaveProfile, n_max: int) -> CoeffSequence:
         vals[n] = pref * n ** 3 * _csch(x)
     return CoeffSequence(values=vals, half_period=profile.cnoidal.half_period,
                          underflow=underflow)
+
+
+def analytic_coeffs(profile: WaveProfile, n_max: int) -> CoeffSequence:
+    """Analytic coefficients of a cnoidal profile, cn^2 or cn^4 by its family."""
+    if profile.family == KDV_CNOIDAL:
+        return cn2_coeffs(profile.cnoidal, n_max)
+    if profile.family == FIFTH_CNOIDAL:
+        return cn4_coeffs_halfmodulus(profile, n_max)
+    raise ValueError(f"no analytic coefficients for the {profile.family!r} family")
 
 
 def cn4_series_general_k(k: float, n_max: int) -> CoeffSequence:

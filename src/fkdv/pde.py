@@ -22,7 +22,6 @@ distance reported here.
 
 from __future__ import annotations
 
-import io
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -30,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .waves import FIFTH_SOLITON, MediumParams, WaveProfile
+from .waves import MediumParams, WaveProfile, write_csv
 
 __all__ = [
     "SpectralState",
@@ -61,6 +60,13 @@ class BlowUpError(RuntimeError):
                          f"at t={time:g} (|u| ~ {peak:.3g})")
         self.time = time
         self.peak = peak
+
+
+def _check_blowup(field: np.ndarray, peak0: float, time: float):
+    """Raise BlowUpError if ``field`` is non-finite or past 100x ``peak0``."""
+    peak = np.max(np.abs(field)) if np.all(np.isfinite(field)) else math.inf
+    if not np.isfinite(peak) or (peak0 > 0 and peak > _BLOWUP_FACTOR * peak0):
+        raise BlowUpError(time, peak)
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,10 +190,7 @@ def step(state: SpectralState, dt: float) -> SpectralState:
     uh = np.fft.rfft(state.field)
     uh = _step_spectrum(uh, coeffs, state.params.gamma, state.grid_n)
     field = np.fft.irfft(uh, state.grid_n)
-    peak0 = np.max(np.abs(state.field))
-    peak = np.max(np.abs(field)) if np.all(np.isfinite(field)) else math.inf
-    if not np.isfinite(peak) or (peak0 > 0 and peak > _BLOWUP_FACTOR * peak0):
-        raise BlowUpError(state.time + dt, peak)
+    _check_blowup(field, np.max(np.abs(state.field)), state.time + dt)
     return replace(state, field=field, time=state.time + dt)
 
 
@@ -213,10 +216,15 @@ def evolve(state: SpectralState, t_end: float, dt: float | None = None,
     the flow; the mean mode is untouched by construction, so mass is exact).
     Distances are shift-minimized H^1/H^2 distances to ``reference`` when
     one is given, else zero.  Returns (final_state, records); records always
-    include t = 0 and the final time.
+    include t = 0 and the final time.  Integrating backward (``t_end`` before
+    the state's time) or with a nonpositive ``dt`` is rejected.
     """
+    if t_end < state.time:
+        raise ValueError(f"t_end = {t_end!r} lies before the state's time {state.time!r}")
     if dt is None:
         dt = default_dt(state)
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
     n_steps = max(1, int(math.ceil((t_end - state.time) / dt - 1e-12)))
     dt = (t_end - state.time) / n_steps
     coeffs = _etdrk4_coeffs(state.grid_n, state.domain_length, state.params, dt)
@@ -246,9 +254,7 @@ def evolve(state: SpectralState, t_end: float, dt: float | None = None,
         t = state.time + (i + 1) * dt
         if (i + 1) % record_every == 0 or i == n_steps - 1:
             field = np.fft.irfft(uh, state.grid_n)
-            peak = np.max(np.abs(field)) if np.all(np.isfinite(field)) else math.inf
-            if not np.isfinite(peak) or (peak0 > 0 and peak > _BLOWUP_FACTOR * peak0):
-                raise BlowUpError(t, peak)
+            _check_blowup(field, peak0, t)
             records.append(record(field, t))
     final = replace(state, field=np.fft.irfft(uh, state.grid_n), time=t)
     return final, records
@@ -358,39 +364,25 @@ def _warn_if_ambiguous(corr: np.ndarray, j_best: int):
 # experiments
 # ---------------------------------------------------------------------------
 
-def state_from_profile(profile: WaveProfile, grid_n: int = 1024,
-                       width_factor: float = 40.0):
+def state_from_profile(profile: WaveProfile, grid_n: int = 1024):
     """Initial state and on-grid reference for a traveling-wave experiment.
 
-    Periodic families get a box of exactly one wavelength; solitary ones a
-    box of ``width_factor`` characteristic widths, wide enough that the
-    wrap-around tails sit below 1e-12 of the peak (the periodic box then
-    approximates the whole line).
+    The box is the profile's sampled window: exactly one wavelength for the
+    periodic families, 40 characteristic widths for the solitary ones, wide
+    enough that the wrap-around tails sit below 1e-12 of the peak (the
+    periodic box then approximates the whole line).
     """
-    p = profile.params
-    if profile.periodic:
-        domain = profile.cnoidal.wavelength
-    else:
-        if profile.family == FIFTH_SOLITON:
-            width = 2.0 * math.sqrt(13.0 * p.beta / p.alpha)
-        else:
-            width = 2.0 * math.sqrt(p.alpha / p.c)
-        domain = width_factor * width
+    domain = 2.0 * profile.window
     x = -0.5 * domain + np.arange(grid_n) * (domain / grid_n)
     reference = profile.evaluate(x)
     state = SpectralState(grid_n=grid_n, domain_length=domain,
-                          field=reference.copy(), time=0.0, params=p)
+                          field=reference.copy(), time=0.0, params=profile.params)
     return state, reference
 
 
 def characteristic_time(profile: WaveProfile) -> float:
     """Wavelength (periodic) or width (solitary) divided by the speed."""
-    p = profile.params
-    if profile.periodic:
-        return profile.cnoidal.wavelength / abs(p.c)
-    if profile.family == FIFTH_SOLITON:
-        return 2.0 * math.sqrt(13.0 * p.beta / p.alpha) / abs(p.c)
-    return 2.0 * math.sqrt(p.alpha / p.c) / abs(p.c)
+    return profile.width / abs(profile.params.c)
 
 
 @dataclass(frozen=True)
@@ -494,26 +486,10 @@ def stability_experiment(profile: WaveProfile, perturbation: Perturbation | None
 
 
 def diagnostics_to_csv(records, path=None) -> str:
-    buf = io.StringIO()
-    buf.write("time,mass,momentum,distH1,distH2,shift\n")
-    for r in records:
-        buf.write(f"{r.time:.17g},{r.mass:.17g},{r.momentum:.17g},"
-                  f"{r.dist_h1:.17g},{r.dist_h2:.17g},{r.shift:.17g}\n")
-    text = buf.getvalue()
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text
+    rows = ((r.time, r.mass, r.momentum, r.dist_h1, r.dist_h2, r.shift) for r in records)
+    return write_csv(path, ("time", "mass", "momentum", "distH1", "distH2", "shift"), rows)
 
 
 def snapshot_to_csv(state: SpectralState, path=None) -> str:
-    buf = io.StringIO()
-    buf.write(f"# t={state.time:.17g}\n")
-    buf.write("x,u\n")
-    for x, v in zip(state.x, state.field):
-        buf.write(f"{x:.17g},{v:.17g}\n")
-    text = buf.getvalue()
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text
+    return write_csv(path, ("x", "u"), zip(state.x, state.field),
+                     comment=f"t={state.time:.17g}")

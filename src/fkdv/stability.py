@@ -24,15 +24,15 @@ partial sense that matches their derivation.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from math import lgamma
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .elliptic import EllipticContext
+from .waves import (CN4_MODULUS, FIFTH_CNOIDAL, FIFTH_SOLITON, KDV_CNOIDAL, KDV_SOLITON,
+                    cn2_params, cn4_wavelength, write_csv)
 
 __all__ = [
     "GegenbauerSeriesSpec",
@@ -49,6 +49,7 @@ __all__ = [
     "solve_flux_for_wavelength",
     "cn2_norm_derivative",
     "cn4_norm_derivative",
+    "family_reports",
     "reports_to_csv",
 ]
 
@@ -96,6 +97,10 @@ class StabilityReport:
             for name, val in self.terms.items():
                 lines.append(f"  term {name} = {val:.9g}")
         return "\n".join(lines)
+
+
+def _sign_verdict(norm_derivative: float) -> str:
+    return "stable" if norm_derivative > 0.0 else "not-stable-hypotheses"
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +206,7 @@ def gegenbauer_verdict(spec: GegenbauerSeriesSpec, jmax: int = 200) -> Stability
     else:
         verdict = "not-stable-hypotheses"
     return StabilityReport(
-        family="fifth-soliton",
+        family=FIFTH_SOLITON,
         c=float("nan"),
         norm_derivative=None,
         functional_i=total,
@@ -216,22 +221,6 @@ def gegenbauer_verdict(spec: GegenbauerSeriesSpec, jmax: int = 200) -> Stability
 # ---------------------------------------------------------------------------
 # cn^2 family: sequence norm and its derivative in c
 # ---------------------------------------------------------------------------
-
-def _cn2_pieces(gamma: float, alpha: float, c: float, flux_a: float) -> dict:
-    """Scalar ingredients of the cn^2 coefficient norm at one (c, flux)."""
-    delta = 9.0 * c * c + 24.0 * flux_a * gamma
-    if delta <= 0.0:
-        raise ValueError("discriminant must stay positive along the family")
-    sqrt_delta = math.sqrt(delta)
-    amp = (3.0 * c + sqrt_delta) / (2.0 * gamma)
-    k = math.sqrt(amp * gamma) / delta ** 0.25
-    ctx = EllipticContext.from_modulus(k)
-    lam = 4.0 * math.sqrt(3.0 * alpha) * ctx.K / delta ** 0.25
-    return {
-        "k": k, "ctx": ctx, "L": lam / 2.0, "wavelength": lam,
-        "emm": 6.0 * alpha * amp / sqrt_delta,
-    }
-
 
 def _csch_sums(k: float, K: float, Kprime: float):
     """S2 = sum_{n != 0} n^2 csch^2(n pi K'/K) and S3 with the extra n coth."""
@@ -262,9 +251,9 @@ def cn2_ell2_norm_sq(gamma: float, alpha: float, c: float, flux_a: float,
     frozen-L reading); by default L tracks the wavelength of the
     (c, flux_a) member.
     """
-    p = _cn2_pieces(gamma, alpha, c, flux_a)
-    L = p["L"] if half_period is None else half_period
-    ctx, k, emm = p["ctx"], p["k"], p["emm"]
+    cn, ctx = cn2_params(gamma, alpha, c, flux_a)
+    L = cn.half_period if half_period is None else half_period
+    k, emm = cn.modulus, cn.emm
     s2, _ = _csch_sums(k, ctx.K, ctx.Kprime)
     head = (4.0 * emm ** 2 * ctx.K ** 2 / L ** 4) * (ctx.K - ctx.D) ** 2
     return head + (emm ** 2 * math.pi ** 4 / (L ** 4 * k ** 4)) * s2
@@ -283,7 +272,7 @@ def cn4_series_constant() -> float:
 
 def cn4_ell2_norm_sq(gamma: float, c: float) -> float:
     """25 c^2/(36 g^2) + (25 c^2 pi^8 / 36 g^2 K^8) sum_{n != 0} n^6 csch^2(n pi)."""
-    K = EllipticContext.from_modulus(math.sqrt(2.0) / 2.0).K
+    K = EllipticContext.from_modulus(CN4_MODULUS).K
     return (25.0 * c ** 2 / (36.0 * gamma ** 2)
             + 25.0 * c ** 2 * math.pi ** 8 / (36.0 * gamma ** 2 * K ** 8)
             * cn4_series_constant())
@@ -307,34 +296,62 @@ def _richardson_checked(f, x: float, rel_steps=(1e-3, 1e-4), rel_tol: float = 1e
     return d_fine
 
 
+def _illinois(f, a: float, fa: float, b: float, fb: float) -> float:
+    """Root of f between a and b, where f(a) and f(b) differ in sign.
+
+    Regula falsi with the Illinois rule (halve the stale end's value when
+    the same end moves twice), falling back to bisection whenever the
+    secant point leaves the bracket.  Stops once the bracket or the last
+    step is below 1e-14 + 8.9e-16 |x|, i.e. a few ulps of the root.
+    """
+    side = 0
+    x = math.inf
+    for _ in range(200):
+        x_prev = x
+        x = (a * fb - b * fa) / (fb - fa)
+        if not min(a, b) < x < max(a, b):
+            x = 0.5 * (a + b)
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        if (fx > 0.0) == (fa > 0.0):
+            a, fa = x, fx
+            if side == 1:
+                fb *= 0.5
+            side = 1
+        else:
+            b, fb = x, fx
+            if side == -1:
+                fa *= 0.5
+            side = -1
+        tol = 1e-14 + 8.9e-16 * abs(x)
+        if abs(b - a) <= tol or abs(x - x_prev) <= tol:
+            return x
+    raise RuntimeError("root iteration did not converge")
+
+
 def solve_flux_for_wavelength(gamma: float, alpha: float, c: float,
                               wavelength: float, flux_guess: float = 1.0) -> float:
     """Mass flux making the cn^2 wavelength equal ``wavelength`` at speed c."""
 
     def objective(a):
-        return _cn2_pieces(gamma, alpha, c, a)["wavelength"] - wavelength
+        return cn2_params(gamma, alpha, c, a)[0].wavelength - wavelength
 
-    lo = hi = max(flux_guess, 1e-12)
-    flo = objective(lo)
+    a = max(flux_guess, 1e-12)
+    fa = objective(a)
+    if fa == 0.0:
+        return a
+    # the wavelength decreases in the flux: double or halve toward the sign change
+    factor = 2.0 if fa > 0.0 else 0.5
     for _ in range(200):
-        if flo == 0.0:
-            return lo
-        # wavelength decreases in the flux, so expand toward the sign change
-        if flo > 0.0:
-            hi = lo * 2.0
-            if objective(hi) <= 0.0:
-                break
-            lo = hi
-            flo = objective(lo)
-        else:
-            hi = lo
-            lo = hi / 2.0
-            flo = objective(lo)
-            if flo >= 0.0:
-                break
-    else:
-        raise RuntimeError("could not bracket the fixed-period flux")
-    return brentq(objective, lo, hi, xtol=1e-14, rtol=8.9e-16)
+        b = a * factor
+        fb = objective(b)
+        if fb == 0.0:
+            return b
+        if (fb > 0.0) != (fa > 0.0):
+            return _illinois(objective, a, fa, b, fb)
+        a, fa = b, fb
+    raise RuntimeError("could not bracket the fixed-period flux")
 
 
 def cn2_norm_derivative(gamma: float, alpha: float, c: float, flux_a: float,
@@ -349,21 +366,17 @@ def cn2_norm_derivative(gamma: float, alpha: float, c: float, flux_a: float,
     derivative at fixed flux; their sum is reported next to a direct
     frozen-L derivative as a consistency check.
     """
-    if alpha <= 0.0:
-        raise ValueError("stability evaluation restricted to alpha > 0")
     if mode not in ("fixed-flux", "fixed-period"):
         raise ValueError(f"unknown mode {mode!r}")
-    base = _cn2_pieces(gamma, alpha, c, flux_a)
-    L0 = base["L"]
+    cn, ctx = cn2_params(gamma, alpha, c, flux_a)
+    L0 = cn.half_period
 
     if mode == "fixed-flux":
         deriv = _richardson_checked(
             lambda cc: cn2_ell2_norm_sq(gamma, alpha, cc, flux_a), c)
     else:
-        lam0 = base["wavelength"]
-
         def norm_fixed_period(cc):
-            a_cc = solve_flux_for_wavelength(gamma, alpha, cc, lam0,
+            a_cc = solve_flux_for_wavelength(gamma, alpha, cc, cn.wavelength,
                                              flux_guess=abs(flux_a))
             return cn2_ell2_norm_sq(gamma, alpha, cc, a_cc, half_period=L0)
 
@@ -373,18 +386,17 @@ def cn2_norm_derivative(gamma: float, alpha: float, c: float, flux_a: float,
     frozen_direct = _richardson_checked(
         lambda cc: cn2_ell2_norm_sq(gamma, alpha, cc, flux_a, half_period=L0), c)
 
-    def piece(cc):
-        return _cn2_pieces(gamma, alpha, cc, flux_a)
+    def along_c(quantity):
+        """Fixed-flux derivative in c of quantity(cn, ctx)."""
+        return _richardson_checked(
+            lambda cc: quantity(*cn2_params(gamma, alpha, cc, flux_a)), c)
 
-    d_mk = _richardson_checked(lambda cc: piece(cc)["emm"] * piece(cc)["ctx"].K, c)
-    d_kmd = _richardson_checked(
-        lambda cc: piece(cc)["ctx"].K - piece(cc)["ctx"].D, c)
-    d_emm = _richardson_checked(lambda cc: piece(cc)["emm"], c)
-    d_k = _richardson_checked(lambda cc: piece(cc)["k"], c)
+    d_mk = along_c(lambda cn_c, ctx_c: cn_c.emm * ctx_c.K)
+    d_kmd = along_c(lambda cn_c, ctx_c: ctx_c.K - ctx_c.D)
+    d_emm = along_c(lambda cn_c, ctx_c: cn_c.emm)
+    d_k = along_c(lambda cn_c, ctx_c: cn_c.modulus)
 
-    k = base["k"]
-    ctx = base["ctx"]
-    emm = base["emm"]
+    k, emm = cn.modulus, cn.emm
     h_k = 1e-6
     dK_dk = _richardson(lambda q: EllipticContext.from_modulus(q).K, k, h_k)
     dKp_dk = _richardson(lambda q: EllipticContext.from_modulus(q).Kprime, k, h_k)
@@ -408,11 +420,11 @@ def cn2_norm_derivative(gamma: float, alpha: float, c: float, flux_a: float,
         "d_K_minus_D": d_kmd,
     }
     return StabilityReport(
-        family="kdv-cnoidal",
+        family=KDV_CNOIDAL,
         c=c,
         norm_derivative=deriv,
         functional_i=-0.5 * L0 * deriv,
-        verdict="stable" if deriv > 0.0 else "not-stable-hypotheses",
+        verdict=_sign_verdict(deriv),
         mode=mode,
         terms=terms,
     )
@@ -428,42 +440,45 @@ def cn4_norm_derivative(gamma: float, beta: float, c: float) -> StabilityReport:
         raise ValueError("the cn^4 family needs c > 0 and beta > 0")
     norm = cn4_ell2_norm_sq(gamma, c)
     deriv = 2.0 * norm / c
-    K = EllipticContext.from_modulus(math.sqrt(2.0) / 2.0).K
-    lam = 2.0 * math.sqrt(2.0) * (42.0 * beta / c) ** 0.25 * K
     return StabilityReport(
-        family="fifth-cnoidal",
+        family=FIFTH_CNOIDAL,
         c=c,
         norm_derivative=deriv,
-        functional_i=-0.25 * lam * deriv,
-        verdict="stable" if deriv > 0.0 else "not-stable-hypotheses",
+        functional_i=-0.25 * cn4_wavelength(beta, c) * deriv,
+        verdict=_sign_verdict(deriv),
         terms={"norm": norm, "series_constant": cn4_series_constant()},
     )
 
 
+def family_reports(family: str, gamma: float, alpha: float, beta: float, speeds,
+                   flux_a: float, mode: str, jmax: int) -> list[StabilityReport]:
+    """Stability reports of a family at each speed (and each mode for cn^2).
+
+    ``mode`` "both" evaluates the cn^2 derivative in both readings.  The
+    sech^4 soliton's speed is pinned by the medium, so it gives the single
+    Gegenbauer report whatever ``speeds`` holds.
+    """
+    if family == FIFTH_SOLITON:
+        return [gegenbauer_verdict(GegenbauerSeriesSpec(gamma_coef=gamma), jmax=jmax)]
+    if family == KDV_SOLITON:
+        derivs = [(c, kdv_soliton_norm_derivative(gamma, alpha, c)) for c in speeds]
+        return [StabilityReport(family=family, c=c, norm_derivative=d, functional_i=None,
+                                verdict=_sign_verdict(d)) for c, d in derivs]
+    if family == KDV_CNOIDAL:
+        modes = ("fixed-flux", "fixed-period") if mode == "both" else (mode,)
+        return [cn2_norm_derivative(gamma, alpha, c, flux_a, mode=m)
+                for c in speeds for m in modes]
+    if family == FIFTH_CNOIDAL:
+        return [cn4_norm_derivative(gamma, beta, c) for c in speeds]
+    raise ValueError(f"unknown family {family!r}")
+
+
 def reports_to_csv(reports, path=None) -> str:
     """One CSV row per report: family, mode, c, derivative, I, terms, verdict."""
-    term_names = []
-    for rep in reports:
-        for name in (rep.terms or {}):
-            if name not in term_names:
-                term_names.append(name)
-    buf = io.StringIO()
-    buf.write("family,mode,c,norm_derivative,functional_i,verdict")
-    for name in term_names:
-        buf.write(f",term_{name}")
-    buf.write("\n")
-    for rep in reports:
-        buf.write(f"{rep.family},{rep.mode or ''},{rep.c:.17g},")
-        buf.write("" if rep.norm_derivative is None else f"{rep.norm_derivative:.17g}")
-        buf.write(",")
-        buf.write("" if rep.functional_i is None else f"{rep.functional_i:.17g}")
-        buf.write(f",{rep.verdict}")
-        for name in term_names:
-            val = (rep.terms or {}).get(name)
-            buf.write("," if val is None else f",{val:.17g}")
-        buf.write("\n")
-    text = buf.getvalue()
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text
+    term_names = list(dict.fromkeys(name for rep in reports for name in (rep.terms or {})))
+    header = ["family", "mode", "c", "norm_derivative", "functional_i", "verdict"]
+    header += [f"term_{name}" for name in term_names]
+    rows = ([rep.family, rep.mode, rep.c, rep.norm_derivative, rep.functional_i,
+             rep.verdict, *((rep.terms or {}).get(name) for name in term_names)]
+            for rep in reports)
+    return write_csv(path, header, rows)

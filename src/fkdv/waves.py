@@ -18,11 +18,11 @@ Every profile satisfies the first integral of the traveling ODE,
 
 pointwise; ``conservation_residuals`` evaluates that expression and the
 second (energy-flux) law on the stored grid and reports the deviations.
+``write_csv`` is the one CSV writer of the package.
 """
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -37,6 +37,7 @@ __all__ = [
     "KDV_CNOIDAL",
     "FIFTH_CNOIDAL",
     "FAMILIES",
+    "CN4_MODULUS",
     "MediumParams",
     "CnoidalParams",
     "WaveProfile",
@@ -47,8 +48,11 @@ __all__ = [
     "build_kdv_cnoidal",
     "build_fifth_order_cnoidal",
     "build_profile",
+    "cn2_params",
+    "cn4_wavelength",
     "conservation_residuals",
     "profile_to_csv",
+    "write_csv",
 ]
 
 FIFTH_SOLITON = "fifth-soliton"
@@ -60,6 +64,12 @@ FAMILIES = (FIFTH_SOLITON, KDV_SOLITON, KDV_CNOIDAL, FIFTH_CNOIDAL)
 # moduli above 1 - 1e-10 degenerate toward the solitary (sech) limit and the
 # AGM loses the distinction between k and 1
 _MODULUS_CAP = 1.0 - 1e-10
+
+# solitary profiles are sampled on [-W, W] with W this many characteristic
+# widths, wide enough that the sech tails sit below 1e-12 of the peak
+_SOLITARY_WIDTHS = 20.0
+
+CN4_MODULUS = math.sqrt(2.0) / 2.0
 
 
 class DegenerateModulusError(ValueError):
@@ -106,9 +116,11 @@ class WaveProfile:
     """A traveling-wave family member with closed-form evaluator and samples.
 
     Solitary profiles are sampled on an inclusive symmetric grid over
-    [-W, W] with W >= 20 characteristic widths; periodic profiles on an
+    [-W, W] with W = 20 characteristic widths; periodic profiles on an
     endpoint-exclusive uniform grid covering exactly one wavelength.
-    Immutable after construction.
+    ``width`` is the characteristic length: the sech width of a soliton,
+    the wavelength of a cnoidal train (NaN on a profile assembled without
+    one).  Immutable after construction.
     """
 
     family: str
@@ -119,6 +131,7 @@ class WaveProfile:
     u: np.ndarray
     periodic: bool
     _evaluator: Callable[[np.ndarray], np.ndarray]
+    width: float = math.nan
 
     def evaluate(self, xi):
         """Closed form u(xi) at arbitrary points."""
@@ -145,7 +158,7 @@ def _periodic_grid(half_period: float, n_samples: int) -> np.ndarray:
 
 
 def build_fifth_order_soliton(gamma: float, alpha: float, beta: float,
-                              n_samples: int = 2049, widths: float = 20.0) -> WaveProfile:
+                              n_samples: int = 2049) -> WaveProfile:
     """sech^4 soliton of the full fifth-order equation; speed 36 a^2/169 b."""
     if gamma == 0.0:
         raise ValueError("gamma must be nonzero")
@@ -159,7 +172,7 @@ def build_fifth_order_soliton(gamma: float, alpha: float, beta: float,
     def evaluator(xi):
         return amp / np.cosh(s * xi) ** 4
 
-    xi = _solitary_grid(widths * width, n_samples)
+    xi = _solitary_grid(_SOLITARY_WIDTHS * width, n_samples)
     return WaveProfile(
         family=FIFTH_SOLITON,
         params=MediumParams(gamma=gamma, alpha=alpha, beta=beta, c=c),
@@ -169,11 +182,12 @@ def build_fifth_order_soliton(gamma: float, alpha: float, beta: float,
         u=evaluator(xi),
         periodic=False,
         _evaluator=evaluator,
+        width=width,
     )
 
 
 def build_kdv_soliton(gamma: float, alpha: float, c: float,
-                      n_samples: int = 2049, widths: float = 20.0) -> WaveProfile:
+                      n_samples: int = 2049) -> WaveProfile:
     """sech^2 KdV soliton (beta = 0); right-moving for alpha > 0, left for alpha < 0."""
     if gamma == 0.0:
         raise ValueError("gamma must be nonzero")
@@ -186,7 +200,7 @@ def build_kdv_soliton(gamma: float, alpha: float, c: float,
     def evaluator(xi):
         return amp / np.cosh(s * xi) ** 2
 
-    xi = _solitary_grid(widths * width, n_samples)
+    xi = _solitary_grid(_SOLITARY_WIDTHS * width, n_samples)
     return WaveProfile(
         family=KDV_SOLITON,
         params=MediumParams(gamma=gamma, alpha=alpha, beta=0.0, c=c),
@@ -196,22 +210,26 @@ def build_kdv_soliton(gamma: float, alpha: float, c: float,
         u=evaluator(xi),
         periodic=False,
         _evaluator=evaluator,
+        width=width,
     )
 
 
-def build_kdv_cnoidal(gamma: float, alpha: float, c: float, flux_a: float,
-                      n_samples: int = 512) -> WaveProfile:
-    """cn^2 cnoidal wave of the KdV limit with mass flux ``flux_a``.
+def cn2_params(gamma: float, alpha: float, c: float,
+               flux_a: float) -> tuple[CnoidalParams, EllipticContext]:
+    """Discriminant, amplitude, modulus, wavelength and M(c) of a cn^2 wave.
 
-    Requires Delta = 9c^2 + 24 flux_a gamma > 0 and alpha > 0 (negative
-    alpha would force the |alpha| variants of the stability terms, which
-    this toolkit does not admit).  The flux_a -> 0 limit drives the modulus
-    to 1 and is rejected as degenerate.
+    A real cn^2 wave needs flux_a*gamma > 0: for flux_a*gamma < 0 the
+    modulus exceeds 1 (or the amplitude has the wrong sign), and the
+    flux_a -> 0 limit drives the modulus to 1, which is rejected as
+    degenerate.  Also returns the elliptic context of the modulus.
     """
     if gamma == 0.0:
         raise ValueError("gamma must be nonzero")
     if alpha <= 0.0:
         raise ValueError("cnoidal construction restricted to alpha > 0")
+    if flux_a * gamma < 0.0:
+        raise ValueError(f"the cn^2 wave needs a mass flux of the sign of gamma; "
+                         f"flux_a*gamma = {flux_a * gamma!r} admits no real wave")
     delta = 9.0 * c * c + 24.0 * flux_a * gamma
     if delta <= 0.0:
         raise ValueError(f"discriminant 9c^2 + 24*flux_a*gamma = {delta!r} must be positive")
@@ -226,20 +244,32 @@ def build_kdv_cnoidal(gamma: float, alpha: float, c: float, flux_a: float,
         )
     ctx = EllipticContext.from_modulus(modulus)
     wavelength = 4.0 * math.sqrt(3.0 * alpha) * ctx.K / delta ** 0.25
-    b = delta ** 0.25 / (2.0 * math.sqrt(3.0 * alpha))
-    emm = 6.0 * alpha * amp / sqrt_delta
-
-    def evaluator(xi):
-        return amp * jacobi_cn(b * xi, modulus) ** 2
-
     cn_params = CnoidalParams(
         delta=delta,
         amplitude=amp,
         modulus=modulus,
-        emm=emm,
+        emm=6.0 * alpha * amp / sqrt_delta,
         wavelength=wavelength,
         half_period=wavelength / 2.0,
     )
+    return cn_params, ctx
+
+
+def build_kdv_cnoidal(gamma: float, alpha: float, c: float, flux_a: float,
+                      n_samples: int = 512) -> WaveProfile:
+    """cn^2 cnoidal wave of the KdV limit with mass flux ``flux_a``.
+
+    Requires alpha > 0 (negative alpha would force the |alpha| variants of
+    the stability terms, which this toolkit does not admit) and
+    flux_a*gamma > 0; see :func:`cn2_params`.
+    """
+    cn_params, _ = cn2_params(gamma, alpha, c, flux_a)
+    amp, modulus = cn_params.amplitude, cn_params.modulus
+    b = cn_params.delta ** 0.25 / (2.0 * math.sqrt(3.0 * alpha))
+
+    def evaluator(xi):
+        return amp * jacobi_cn(b * xi, modulus) ** 2
+
     xi = _periodic_grid(cn_params.half_period, n_samples)
     return WaveProfile(
         family=KDV_CNOIDAL,
@@ -250,7 +280,14 @@ def build_kdv_cnoidal(gamma: float, alpha: float, c: float, flux_a: float,
         u=evaluator(xi),
         periodic=True,
         _evaluator=evaluator,
+        width=cn_params.wavelength,
     )
+
+
+def cn4_wavelength(beta: float, c: float) -> float:
+    """Wavelength 2 sqrt2 (42 beta/c)^{1/4} K(sqrt2/2) of the cn^4 wave."""
+    K = EllipticContext.from_modulus(CN4_MODULUS).K
+    return 2.0 * math.sqrt(2.0) * (42.0 * beta / c) ** 0.25 * K
 
 
 def build_fifth_order_cnoidal(gamma: float, beta: float, c: float,
@@ -266,18 +303,16 @@ def build_fifth_order_cnoidal(gamma: float, beta: float, c: float,
     if beta == 0.0 or c / beta <= 0.0:
         raise ValueError("the cn^4 wave needs c/beta > 0")
     amp = 5.0 * c / (2.0 * gamma)
-    modulus = math.sqrt(2.0) / 2.0
-    ctx = EllipticContext.from_modulus(modulus)
-    s = (math.sqrt(2.0) / 2.0) * (c / (42.0 * beta)) ** 0.25
-    wavelength = 2.0 * math.sqrt(2.0) * (42.0 * beta / c) ** 0.25 * ctx.K
+    s = CN4_MODULUS * (c / (42.0 * beta)) ** 0.25
+    wavelength = cn4_wavelength(beta, c)
 
     def evaluator(xi):
-        return amp * jacobi_cn(s * xi, modulus) ** 4
+        return amp * jacobi_cn(s * xi, CN4_MODULUS) ** 4
 
     cn_params = CnoidalParams(
         delta=float("nan"),
         amplitude=amp,
-        modulus=modulus,
+        modulus=CN4_MODULUS,
         emm=float("nan"),
         wavelength=wavelength,
         half_period=wavelength / 2.0,
@@ -293,6 +328,7 @@ def build_fifth_order_cnoidal(gamma: float, beta: float, c: float,
         u=evaluator(xi),
         periodic=True,
         _evaluator=evaluator,
+        width=cn_params.wavelength,
     )
 
 
@@ -434,19 +470,33 @@ def conservation_residuals(profile: WaveProfile) -> ConservationCheck:
     )
 
 
-def profile_to_csv(profile: WaveProfile, path=None) -> str:
-    """Serialize samples as CSV: a comment header naming family/parameters, then xi,u."""
-    p = profile.params
-    buf = io.StringIO()
-    buf.write(
-        f"# {profile.family} gamma={p.gamma!r} alpha={p.alpha!r} beta={p.beta!r} "
-        f"c={p.c!r} flux_a={p.flux_a!r} flux_b={p.flux_b!r}\n"
-    )
-    buf.write("xi,u\n")
-    for x, v in zip(profile.xi, profile.u):
-        buf.write(f"{x:.17g},{v:.17g}\n")
-    text = buf.getvalue()
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    return str(value)
+
+
+def write_csv(path, header, rows, comment=None) -> str:
+    """Write rows as CSV and return the text; ``path=None`` only returns it.
+
+    Floats get full round-trip precision (``%.17g``), None an empty cell;
+    an optional ``comment`` becomes a leading ``# ...`` line.
+    """
+    lines = [] if comment is None else [f"# {comment}"]
+    lines.append(",".join(header))
+    lines.extend(",".join(_csv_cell(v) for v in row) for row in rows)
+    text = "\n".join(lines) + "\n"
     if path is not None:
         with open(path, "w") as fh:
             fh.write(text)
     return text
+
+
+def profile_to_csv(profile: WaveProfile, path=None) -> str:
+    """Serialize samples as CSV: a comment header naming family/parameters, then xi,u."""
+    p = profile.params
+    comment = (f"{profile.family} gamma={p.gamma!r} alpha={p.alpha!r} beta={p.beta!r} "
+               f"c={p.c!r} flux_a={p.flux_a!r} flux_b={p.flux_b!r}")
+    return write_csv(path, ("xi", "u"), zip(profile.xi, profile.u), comment)

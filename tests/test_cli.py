@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import fkdv
+from fkdv import cli
 from fkdv.cli import main
 
 
@@ -95,7 +102,7 @@ class TestStabilityCommand:
 
     def test_jobs_flag(self, tmp_path):
         code = run(["stability", "--family", "fifth-cnoidal", "--c-grid", "0.5,1,2",
-                    "--jobs", "3", "--out", str(tmp_path / "s")])
+                    "--out", str(tmp_path / "s")])
         assert code == 0
 
 
@@ -153,9 +160,55 @@ class TestConfigFile:
         assert exc.value.code == 2
         assert "unknown key" in capsys.readouterr().err
 
+    def test_aliased_keys_resolved(self, tmp_path, monkeypatch):
+        seen = []
+        monkeypatch.setitem(cli._COMMANDS, "simulate", lambda args: seen.append(args) or 0)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("C = 0.5\nA = 2.0\ngridN = 256\n")
+        base = ["simulate", "--family", "kdv-cnoidal", "--config", str(cfg)]
+        assert run(base) == 0
+        assert run(base + ["--gridN", "512", "--C", "0.25"]) == 0
+        assert [(a.cee, a.flux_a, a.grid_n) for a in seen] == [(0.5, 2.0, 256),
+                                                             (0.25, 2.0, 512)]
+
+    def test_config_and_flags_give_same_bytes(self, tmp_path, capsys):
+        sim = ["simulate", "--family", "kdv-cnoidal", "--horizon", "0.2", "--dt", "0.01"]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("C = 0.5\nA = 2.0\ngridN = 256\n")
+        assert run(sim + ["--config", str(cfg), "--out", str(tmp_path / "f")]) == 0
+        assert run(sim + ["--C", "0.5", "--A", "2.0", "--gridN", "256",
+                          "--out", str(tmp_path / "g")]) == 0
+        snap = {k: (tmp_path / f"{k}_snapshot.csv").read_bytes() for k in "fg"}
+        assert snap["f"] == snap["g"]
+        assert len(snap["f"].splitlines()) == 2 + 256
+        capsys.readouterr()
+        cfg.write_text("A = 2.0\n")
+        assert run(["profile", "--family", "kdv-cnoidal", "--config", str(cfg),
+                    "--A", "1.5", "--out", str(tmp_path / "p")]) == 0
+        assert "flux A           1.5" in capsys.readouterr().out
+
+    def test_bad_value_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("gridN = many\n")
+        with pytest.raises(SystemExit) as exc:
+            run(["simulate", "--family", "kdv-soliton", "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert "gridN" in capsys.readouterr().err
+
     def test_malformed_line_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("gamma 2.0\n")
         with pytest.raises(SystemExit) as exc:
             run(["stability", "--family", "kdv-soliton", "--config", str(cfg)])
         assert exc.value.code == 2
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test oracle only; the command line must not pay for its import
+    src = str(Path(fkdv.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, fkdv.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    assert out.strip() == "[]"

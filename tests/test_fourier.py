@@ -9,6 +9,7 @@ from fkdv.elliptic import EllipticContext, jacobi_cn
 from fkdv.fourier import (
     AliasingWarning,
     CoeffSequence,
+    analytic_coeffs,
     cn2_coeffs,
     cn4_coeffs_halfmodulus,
     cn4_series_general_k,
@@ -229,6 +230,17 @@ class TestPf2:
     def test_rejects_even_length(self):
         with pytest.raises(ValueError):
             pf2_check(np.ones(4), window=1)
+
+
+class TestAnalyticDispatch:
+    def test_family_picks_the_formula(self):
+        cn2 = build_kdv_cnoidal(1.0, 1.0, 1.0, 1.0)
+        cn4 = build_fifth_order_cnoidal(1.0, 1.0, 1.0)
+        assert np.array_equal(analytic_coeffs(cn2, 8).values, cn2_coeffs(cn2.cnoidal, 8).values)
+        assert np.array_equal(analytic_coeffs(cn4, 8).values,
+                              cn4_coeffs_halfmodulus(cn4, 8).values)
+        with pytest.raises(ValueError):
+            analytic_coeffs(build_kdv_soliton(1.0, 1.0, 1.0), 8)
 
 
 class TestCoeffSequence:

@@ -18,7 +18,14 @@ from fkdv.pde import (
     state_from_profile,
     step,
 )
-from fkdv.waves import MediumParams, build_fifth_order_soliton, build_kdv_soliton
+from dataclasses import replace
+
+from fkdv.waves import (
+    MediumParams,
+    build_fifth_order_soliton,
+    build_kdv_cnoidal,
+    build_kdv_soliton,
+)
 
 
 def soliton_state(grid_n=1024):
@@ -290,6 +297,26 @@ class TestExperiments:
     def test_characteristic_time(self):
         prof = build_kdv_soliton(1.0, 1.0, 1.0)
         assert characteristic_time(prof) == pytest.approx(2.0, rel=1e-14)
+
+    def test_box_and_time_follow_the_width(self):
+        fifth = build_fifth_order_soliton(1.0, 1.0, 1.0)
+        state, _ = state_from_profile(fifth, grid_n=256)
+        assert state.domain_length == 40.0 * 2.0 * math.sqrt(13.0)
+        cn2 = build_kdv_cnoidal(1.0, 1.0, 2.0, 1.0)
+        state, _ = state_from_profile(cn2, grid_n=256)
+        assert state.domain_length == cn2.cnoidal.wavelength
+        assert characteristic_time(cn2) == cn2.cnoidal.wavelength / 2.0
+
+    def test_backward_run_rejected(self):
+        state, _ = state_from_profile(build_kdv_soliton(1.0, 1.0, 1.0), grid_n=256)
+        with pytest.raises(ValueError, match="before"):
+            evolve(replace(state, time=5.0), 1.0)
+
+    @pytest.mark.parametrize("dt", [0.0, -0.01])
+    def test_nonpositive_dt_rejected(self, dt):
+        state, _ = state_from_profile(build_kdv_soliton(1.0, 1.0, 1.0), grid_n=256)
+        with pytest.raises(ValueError, match="dt"):
+            evolve(state, 1.0, dt=dt)
 
     def test_default_dt_cfl(self):
         prof = build_kdv_soliton(1.0, 1.0, 1.0)

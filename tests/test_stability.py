@@ -12,6 +12,7 @@ from fkdv.stability import (
     cn4_ell2_norm_sq,
     cn4_norm_derivative,
     cn4_series_constant,
+    family_reports,
     gegenbauer_terms,
     gegenbauer_terms_explicit,
     gegenbauer_verdict,
@@ -182,6 +183,21 @@ class TestCn2Derivative:
             lam = build_kdv_cnoidal(1.0, 1.0, cc, flux).cnoidal.wavelength
             assert lam == pytest.approx(lam0, rel=1e-12)
 
+    @pytest.mark.parametrize("c,flux", [(0.5, 2.0), (1.0, 1.0), (3.0, 0.3)])
+    def test_fixed_period_flux_matches_brentq(self, c, flux):
+        brentq = pytest.importorskip("scipy.optimize").brentq
+        lam0 = build_kdv_cnoidal(1.0, 1.0, c, flux).cnoidal.wavelength
+        got = solve_flux_for_wavelength(1.0, 1.0, 1.01 * c, lam0, flux_guess=flux)
+        oracle = brentq(
+            lambda a: build_kdv_cnoidal(1.0, 1.0, 1.01 * c, a).cnoidal.wavelength - lam0,
+            0.5 * got, 2.0 * got, xtol=1e-14, rtol=8.9e-16)
+        assert got == pytest.approx(oracle, rel=1e-13)
+
+    @pytest.mark.parametrize("mode", ["fixed-flux", "fixed-period"])
+    def test_flux_against_gamma_rejected(self, mode):
+        with pytest.raises(ValueError, match="mass flux of the sign of gamma"):
+            cn2_norm_derivative(1.0, 1.0, 1.0, -0.1, mode=mode)
+
 
 class TestParsevalBridge:
     @pytest.mark.parametrize("c,flux", [(1.0, 1.0), (0.5, 2.0), (2.0, 0.5)])
@@ -219,6 +235,28 @@ class TestCn4Derivative:
     def test_domain(self):
         with pytest.raises(ValueError):
             cn4_norm_derivative(1.0, 1.0, -1.0)
+
+
+class TestFamilyReports:
+    def test_one_report_per_speed_and_mode(self):
+        def reports(family, mode="both"):
+            return family_reports(family, 1.0, 1.0, 1.0, [0.5, 1.0], 1.0, mode, 200)
+
+        assert len(reports("kdv-soliton")) == 2
+        assert len(reports("fifth-cnoidal")) == 2
+        assert [r.mode for r in reports("kdv-cnoidal")] == ["fixed-flux", "fixed-period"] * 2
+        assert [r.mode for r in reports("kdv-cnoidal", "fixed-period")] == ["fixed-period"] * 2
+        (series,) = reports("fifth-soliton")
+        assert series.series is not None and series.verdict == "stable"
+
+    def test_kdv_soliton_report(self):
+        (rep,) = family_reports("kdv-soliton", 2.0, 1.0, 1.0, [1.0], 1.0, "both", 200)
+        assert rep.norm_derivative == kdv_soliton_norm_derivative(2.0, 1.0, 1.0) == 9.0
+        assert rep.functional_i is None and rep.verdict == "stable"
+
+    def test_unknown_family(self):
+        with pytest.raises(ValueError):
+            family_reports("kdv", 1.0, 1.0, 1.0, [1.0], 1.0, "both", 200)
 
 
 class TestReportSerialization:

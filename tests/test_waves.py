@@ -13,8 +13,10 @@ from fkdv.waves import (
     build_kdv_cnoidal,
     build_kdv_soliton,
     build_profile,
+    cn2_params,
     conservation_residuals,
     profile_to_csv,
+    write_csv,
 )
 from fkdv.waves import _spectral_derivatives
 
@@ -136,6 +138,18 @@ class TestKdvCnoidal:
         with pytest.raises(ValueError):
             build_kdv_cnoidal(1.0, -1.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("gamma,flux", [(1.0, -0.1), (-1.0, 0.1)])
+    def test_flux_against_gamma_has_no_wave(self, gamma, flux):
+        # flux*gamma < 0 pushes the modulus past 1: no real wave, not a soliton limit
+        with pytest.raises(ValueError, match="mass flux of the sign of gamma") as exc:
+            build_kdv_cnoidal(gamma, 1.0, 1.0, flux)
+        assert not isinstance(exc.value, DegenerateModulusError)
+
+    def test_params_helper_matches_builder(self):
+        cn, ctx = cn2_params(1.0, 1.0, 1.3, 0.7)
+        assert cn == build_kdv_cnoidal(1.0, 1.0, 1.3, 0.7).cnoidal
+        assert ctx.k == cn.modulus
+
 
 class TestFifthOrderCnoidal:
     def test_peak_value(self):
@@ -239,7 +253,28 @@ class TestConservation:
         assert np.max(np.abs(check.residual1)) > 1e-3
 
 
+class TestWidth:
+    def test_recorded_width(self):
+        fifth, kdv, cn2, cn4 = all_four_profiles()
+        assert fifth.width == 2.0 * math.sqrt(13.0)
+        assert kdv.width == 2.0
+        assert cn2.width == cn2.cnoidal.wavelength
+        assert cn4.width == cn4.cnoidal.wavelength
+
+    def test_window_spans_twenty_widths(self):
+        for prof in all_four_profiles()[:2]:
+            assert prof.window == 20.0 * prof.width
+
+
 class TestSerialization:
+    def test_write_csv_cells(self, tmp_path):
+        path = tmp_path / "t.csv"
+        text = write_csv(path, ("a", "b", "c"), [(1, 0.1, None), ("x", np.float64(-2.5), "")],
+                         comment="note")
+        assert text == "# note\na,b,c\n1,0.10000000000000001,\nx,-2.5,\n"
+        assert path.read_text() == text
+        assert write_csv(None, ("v",), [(math.nan,), (-math.inf,)]) == "v\nnan\n-inf\n"
+
     def test_csv_header_and_roundtrip(self, tmp_path):
         prof = build_kdv_soliton(1.0, 1.0, 1.0, n_samples=257)
         path = tmp_path / "prof.csv"
