@@ -21,6 +21,9 @@ from . import fourier, pde, stability, waves
 
 _USAGE_ERROR = 2
 _CHECK_FAILED = 1
+# verify's PF(2) check is O(nmax^3) in time and O(nmax^2) in memory
+_NMAX_CAP = 64
+_GRID_CAP = 2 ** 16
 
 
 def _wave_args(parser):
@@ -30,7 +33,8 @@ def _wave_args(parser):
     parser.add_argument("--alpha", type=float, default=1.0, help="third-order dispersion")
     parser.add_argument("--beta", type=float, default=1.0, help="fifth-order dispersion")
     parser.add_argument("--C", dest="cee", type=float, default=0.0,
-                        help="linear advection coefficient")
+                        help="linear advection coefficient (simulate only; the closed "
+                             "forms assume C = 0)")
     parser.add_argument("--c", type=float, default=1.0, help="wave speed")
     parser.add_argument("--A", dest="flux_a", type=float, default=1.0,
                         help="mass-flux constant of the cn^2 family")
@@ -55,7 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = command("verify", "run the verification battery")
     p_ver.add_argument("--samples", type=int, default=0, help="sample count (0 = family default)")
-    p_ver.add_argument("--nmax", type=int, default=12, help="coefficient truncation")
+    p_ver.add_argument("--nmax", type=int, default=12,
+                       help=f"coefficient truncation and PF(2) window, 1..{_NMAX_CAP}")
     p_ver.add_argument("--speed-scale", type=float, default=1.0,
                        help="negative control: scale the speed used in the residual check")
 
@@ -68,7 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = command("simulate", "evolve a (perturbed) wave")
     p_sim.add_argument("--gridN", dest="grid_n", type=int, default=0,
-                       help="grid points, power of two (0 = family default)")
+                       help=f"grid points, power of two up to {_GRID_CAP} "
+                            "(0 = family default)")
     p_sim.add_argument("--dt", type=float, default=0.0, help="time step (0 = automatic)")
     p_sim.add_argument("--horizon", type=float, default=0.0,
                        help="end time (0 = ten characteristic times)")
@@ -106,10 +112,28 @@ def _config_defaults(parser: argparse.ArgumentParser, path: str):
     parser.set_defaults(**defaults)
 
 
+def _check_args(args):
+    """Reject, before any work, inputs no command can honour."""
+    if args.cee != 0.0 and args.command != "simulate":
+        raise ValueError(f"--C {args.cee!r}: the closed forms assume C = 0; "
+                         "only simulate takes a nonzero C")
+    nmax = getattr(args, "nmax", 1)
+    if not 1 <= nmax <= _NMAX_CAP:
+        raise ValueError(f"--nmax must lie in [1, {_NMAX_CAP}], got {nmax}")
+    grid_n = getattr(args, "grid_n", 0)
+    if grid_n and not (0 < grid_n <= _GRID_CAP and grid_n & (grid_n - 1) == 0):
+        raise ValueError(f"--gridN must be a power of two up to {_GRID_CAP} "
+                         f"(0 = family default), got {grid_n}")
+
+
 def _build_profile(args) -> waves.WaveProfile:
-    return waves.build_profile(args.family, args.gamma, args.alpha, args.beta,
-                               args.c, args.flux_a,
-                               n_samples=getattr(args, "samples", 0))
+    profile = waves.build_profile(args.family, args.gamma, args.alpha, args.beta,
+                                  args.c, args.flux_a,
+                                  n_samples=getattr(args, "samples", 0))
+    if args.cee != 0.0:
+        profile = dataclasses.replace(
+            profile, params=dataclasses.replace(profile.params, cee=args.cee))
+    return profile
 
 
 def cmd_profile(args) -> int:
@@ -270,6 +294,7 @@ def main(argv=None) -> int:
         _config_defaults(args.command_parser, args.config)
         args = parser.parse_args(argv)
     try:
+        _check_args(args)
         return _COMMANDS[args.command](args)
     except (ValueError, waves.DegenerateModulusError) as exc:
         print(f"error: {exc}", file=sys.stderr)

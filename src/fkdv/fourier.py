@@ -279,35 +279,63 @@ def pf2_check(seq, window: int = 12, tol_factor: float = 1e-14) -> Pf2Report:
     allowed to dip to -tol_factor*scale with scale = max(a)^2, the
     floating-point floor for minors that vanish exactly.  The log-concavity
     corollary a(n)^2 >= a(n-1)a(n+1) is reported separately.
+
+    A minor depends on its quadruple only through p = n1 - m1, dn = n2 - n1
+    and dm = m2 - m1, as a(p)a(p+dn-dm) - a(p-dm)a(p+dn), so each class
+    (p, dn, dm) is evaluated once: a loop over dm, with the (p, dn) plane in
+    numpy, takes O(window^3) time and O(window^2) memory.  A class stands
+    for the quadruples with n1 in [max(-w, p-w), min(w-dn, p+w-dm)], w the
+    window; ``failures`` counts those quadruples.  ``min_location`` is the
+    lexicographically first (n1, n2, m1, m2) among all quadruples tied at the
+    minimum; with no finite minor it is (-w, -w, -w, -w) and the minimum inf.
     """
     values, reach = _twosided_values(seq)
     if np.any(values < 0.0) or not np.any(values > 0.0):
         raise ValueError("PF(2) check expects a nonnegative, nontrivial sequence")
-    idx = np.arange(-window, window + 1)
-    usable = idx  # row/column index sets
-    # Toeplitz matrix T[i, j] = a(n_i - m_j) where defined, else NaN
-    diff = usable[:, None] - usable[None, :]
-    defined = np.abs(diff) <= reach
-    T = np.where(defined, values[np.clip(diff + reach, 0, 2 * reach)], np.nan)
-
+    if window < 0:
+        raise ValueError(f"window must be nonnegative, got {window!r}")
+    w = window
     scale = float(np.max(values) ** 2)
     tol = tol_factor * scale
 
-    m = len(usable)
-    minors = (T[:, None, :, None] * T[None, :, None, :]
-              - T[:, None, None, :] * T[None, :, :, None])
-    i1, i2 = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
-    j1, j2 = i1, i2
-    pair_rows = (i1 < i2)[:, :, None, None]
-    pair_cols = (j1 < j2)[None, None, :, :]
-    mask = pair_rows & pair_cols & np.isfinite(minors)
-    masked = np.where(mask, minors, np.inf)
-    flat = int(np.argmin(masked))
-    loc = np.unravel_index(flat, masked.shape)
-    min_minor = float(masked[loc])
-    location = (int(usable[loc[0]]), int(usable[loc[1]]),
-                int(usable[loc[2]]), int(usable[loc[3]]))
-    failures = int(np.sum(np.where(mask, minors, np.inf) < -tol))
+    # a(k) sits at a[off + k], NaN beyond min(reach, 2w).  The differences
+    # of a quadruple lie in [-2w, 2w], and a class stands for no quadruple
+    # exactly when it reads a(p - dm) or a(p + dn) beyond 2w, so the finite
+    # minors are the checked ones.  Row slices of hankel[s, j] = a[s + j] are
+    # the (p, dn) planes, p = -2w..2w down the rows and dn = 1..2w across.
+    span = 2 * w
+    off = 2 * span
+    a = np.full(2 * off + 1, np.nan)
+    r = min(reach, span)
+    a[off - r:off + r + 1] = values[reach - r:reach + r + 1]
+    hankel = a[np.arange(3 * span + 2)[:, None] + np.arange(span)]
+    a_p = a[span:3 * span + 1, None]
+    a_p_dn = hankel[span + 1:3 * span + 2]
+    p = np.arange(-span, span + 1)[:, None]
+    dn = np.arange(1, span + 1)[None, :]
+    lo = np.maximum(-w, p - w)
+
+    min_minor, location = math.inf, (-w, -w, -w, -w)
+    failures = 0
+    for dm in range(1, span + 1):
+        minor = a_p * hankel[span + 1 - dm:3 * span + 2 - dm]
+        minor -= a[span - dm:3 * span + 1 - dm, None] * a_p_dn
+        minor = np.where(np.isfinite(minor), minor, np.inf)
+        least = float(minor.min())
+        if least < -tol:
+            count = np.minimum(w - dn, p + w - dm) - lo + 1
+            failures += int(np.sum(count[minor < -tol]))
+        if least == math.inf or least > min_minor:
+            continue
+        ip, idn = np.nonzero(minor == least)
+        n1 = lo[ip, 0]
+        n2 = n1 + dn[0, idn]
+        m1 = n1 - p[ip, 0]
+        first = np.lexsort((m1, n2, n1))[0]
+        candidate = (int(n1[first]), int(n2[first]), int(m1[first]), int(m1[first]) + dm)
+        if least < min_minor or candidate < location:
+            min_minor = float(minor[ip[first], idn[first]])
+            location = candidate
 
     # log-concavity across the stored range
     lc = values[1:-1] ** 2 - values[:-2] * values[2:]

@@ -332,24 +332,29 @@ def _illinois(f, a: float, fa: float, b: float, fb: float) -> float:
 
 def solve_flux_for_wavelength(gamma: float, alpha: float, c: float,
                               wavelength: float, flux_guess: float = 1.0) -> float:
-    """Mass flux making the cn^2 wavelength equal ``wavelength`` at speed c."""
+    """Mass flux making the cn^2 wavelength equal ``wavelength`` at speed c.
+
+    The flux carries the sign of gamma (see :func:`cn2_params`), so the
+    search runs over its magnitude, starting from ``abs(flux_guess)``.
+    """
+    sign = math.copysign(1.0, gamma)
 
     def objective(a):
-        return cn2_params(gamma, alpha, c, a)[0].wavelength - wavelength
+        return cn2_params(gamma, alpha, c, sign * a)[0].wavelength - wavelength
 
-    a = max(flux_guess, 1e-12)
+    a = max(abs(flux_guess), 1e-12)
     fa = objective(a)
     if fa == 0.0:
-        return a
-    # the wavelength decreases in the flux: double or halve toward the sign change
+        return sign * a
+    # the wavelength decreases in |flux|: double or halve toward the sign change
     factor = 2.0 if fa > 0.0 else 0.5
     for _ in range(200):
         b = a * factor
         fb = objective(b)
         if fb == 0.0:
-            return b
+            return sign * b
         if (fb > 0.0) != (fa > 0.0):
-            return _illinois(objective, a, fa, b, fb)
+            return sign * _illinois(objective, a, fa, b, fb)
         a, fa = b, fb
     raise RuntimeError("could not bracket the fixed-period flux")
 
@@ -377,7 +382,7 @@ def cn2_norm_derivative(gamma: float, alpha: float, c: float, flux_a: float,
     else:
         def norm_fixed_period(cc):
             a_cc = solve_flux_for_wavelength(gamma, alpha, cc, cn.wavelength,
-                                             flux_guess=abs(flux_a))
+                                             flux_guess=flux_a)
             return cn2_ell2_norm_sq(gamma, alpha, cc, a_cc, half_period=L0)
 
         deriv = _richardson_checked(norm_fixed_period, c)

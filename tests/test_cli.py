@@ -7,12 +7,16 @@ import numpy as np
 import pytest
 
 import fkdv
-from fkdv import cli
+from fkdv import cli, pde, waves
 from fkdv.cli import main
 
 
 def run(argv):
     return main(argv)
+
+
+def unreachable(args):
+    raise AssertionError("validation should have stopped the command")
 
 
 class TestProfileCommand:
@@ -134,11 +138,55 @@ class TestSimulateCommand:
         assert code == 2
         assert "power of two" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid", ["131072", "65537", "-256"])
+    def test_grid_cap(self, grid, monkeypatch, capsys):
+        monkeypatch.setitem(cli._COMMANDS, "simulate", unreachable)
+        assert run(["simulate", "--family", "kdv-soliton", "--gridN", grid]) == 2
+        assert "--gridN" in capsys.readouterr().err
+
+    def test_grid_cap_admits_its_bound(self, monkeypatch):
+        seen = []
+        monkeypatch.setitem(cli._COMMANDS, "simulate", lambda args: seen.append(args) or 0)
+        assert run(["simulate", "--family", "kdv-soliton", "--gridN", str(2 ** 16)]) == 0
+        assert seen[0].grid_n == 2 ** 16
+
+    def test_advection_reaches_the_solver(self, tmp_path):
+        sim = ["simulate", "--family", "kdv-cnoidal", "--gridN", "256", "--horizon", "0.2",
+               "--dt", "0.01"]
+        for cee in ("0", "0.5"):
+            assert run(sim + ["--C", cee, "--out", str(tmp_path / f"c{cee}")]) == 0
+        snap = {cee: (tmp_path / f"c{cee}_snapshot.csv").read_bytes() for cee in ("0", "0.5")}
+        assert snap["0"] != snap["0.5"]
+        # C = 0 runs the builder's own profile, as before C was passed on
+        report = pde.stability_experiment(waves.build_profile("kdv-cnoidal", 1.0, 1.0, 1.0,
+                                                              1.0, 1.0),
+                                          None, horizon=0.2, grid_n=256, dt=0.01)
+        assert pde.snapshot_to_csv(report.final_state).encode() == snap["0"]
+
     def test_diagnostics_header(self, tmp_path):
         run(["simulate", "--family", "kdv-soliton", "--gridN", "256",
              "--horizon", "0.2", "--dt", "0.01", "--out", str(tmp_path / "r")])
         header = (tmp_path / "r_diagnostics.csv").read_text().splitlines()[0]
         assert header == "time,mass,momentum,distH1,distH2,shift"
+
+
+class TestValidation:
+    @pytest.mark.parametrize("command", ["profile", "verify", "stability"])
+    def test_closed_forms_reject_advection(self, command, monkeypatch, capsys):
+        monkeypatch.setitem(cli._COMMANDS, command, unreachable)
+        assert run([command, "--family", "kdv-cnoidal", "--C", "0.5"]) == 2
+        assert "assume C = 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("nmax", ["0", "65", "100000"])
+    def test_nmax_cap(self, nmax, monkeypatch, capsys):
+        monkeypatch.setitem(cli._COMMANDS, "verify", unreachable)
+        assert run(["verify", "--family", "kdv-cnoidal", "--nmax", nmax]) == 2
+        assert "--nmax" in capsys.readouterr().err
+
+    def test_nmax_cap_admits_its_bound(self, tmp_path, capsys):
+        assert run(["verify", "--family", "kdv-cnoidal", "--nmax", "64",
+                    "--out", str(tmp_path / "v")]) == 0
+        assert "PF(2)" in capsys.readouterr().out
 
 
 class TestConfigFile:

@@ -1,4 +1,6 @@
 import math
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from fkdv.fourier import (
     cn4_series_general_k,
     dft_coeffs,
     dft_cosine_coeffs,
+    Pf2Report,
     pf2_check,
 )
 from fkdv.waves import build_fifth_order_cnoidal, build_kdv_cnoidal, build_kdv_soliton
@@ -185,6 +188,63 @@ class TestParseval:
         assert seq.ell2_norm_sq() == pytest.approx(4.0 + 2.0 * (1.0 + 0.25), rel=1e-15)
 
 
+def pf2_check_bruteforce(seq, window=12, tol_factor=1e-14):
+    """Reference PF(2) check: every (2w+1)^4 minor at once, argmin in C order."""
+    values = seq.two_sided() if isinstance(seq, CoeffSequence) else np.asarray(seq, dtype=float)
+    reach = len(values) // 2
+    idx = np.arange(-window, window + 1)
+    diff = idx[:, None] - idx[None, :]
+    defined = np.abs(diff) <= reach
+    T = np.where(defined, values[np.clip(diff + reach, 0, 2 * reach)], np.nan)
+    scale = float(np.max(values) ** 2)
+    tol = tol_factor * scale
+    m = len(idx)
+    minors = (T[:, None, :, None] * T[None, :, None, :]
+              - T[:, None, None, :] * T[None, :, :, None])
+    i1, i2 = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
+    pairs = i1 < i2
+    mask = pairs[:, :, None, None] & pairs[None, None, :, :] & np.isfinite(minors)
+    masked = np.where(mask, minors, np.inf)
+    loc = np.unravel_index(int(np.argmin(masked)), masked.shape)
+    min_minor = float(masked[loc])
+    lc = values[1:-1] ** 2 - values[:-2] * values[2:]
+    min_lc = float(np.min(lc)) if len(lc) else 0.0
+    lc_ok = min_lc >= -tol
+    return Pf2Report(
+        passed=(min_minor >= -tol) and lc_ok,
+        window=window,
+        min_minor=min_minor,
+        min_location=tuple(int(idx[i]) for i in loc),
+        scale=scale,
+        log_concavity_ok=lc_ok,
+        min_log_concavity=min_lc,
+        tolerance=tol,
+        failures=int(np.sum(masked < -tol)),
+    )
+
+
+def assert_same_report(fast, ref):
+    """Field-by-field equality, floats compared bit for bit."""
+    for name in Pf2Report.__dataclass_fields__:
+        a, b = getattr(fast, name), getattr(ref, name)
+        if isinstance(b, float):
+            assert struct.pack("<d", a) == struct.pack("<d", b), (name, a, b)
+        else:
+            assert a == b, (name, a, b)
+
+
+@st.composite
+def pf2_cases(draw):
+    window = draw(st.integers(0, 8))
+    reach = draw(st.integers(0, 2 * window + 2))
+    # a small pool of repeated values makes tied minima common
+    pool = draw(st.lists(st.floats(0.0, 10.0), min_size=1, max_size=4))
+    values = draw(st.lists(st.sampled_from(pool) | st.floats(0.0, 10.0),
+                           min_size=2 * reach + 1, max_size=2 * reach + 1))
+    values[reach] = draw(st.floats(0.1, 10.0))
+    return np.array(values), window
+
+
 class TestPf2:
     def test_geometric_sequence_passes(self):
         n = np.arange(-12, 13)
@@ -230,6 +290,42 @@ class TestPf2:
     def test_rejects_even_length(self):
         with pytest.raises(ValueError):
             pf2_check(np.ones(4), window=1)
+
+    def test_rejects_negative_window(self):
+        with pytest.raises(ValueError, match="window"):
+            pf2_check(np.ones(5), window=-1)
+
+    @pytest.mark.parametrize("window", [0, 1, 2, 7, 12, 24])
+    def test_cnoidal_reports_match_bruteforce(self, window):
+        cn2 = cn2_coeffs(build_kdv_cnoidal(1.0, 1.0, 1.0, 1.0).cnoidal, max(1, 2 * window))
+        cn4 = cn4_coeffs_halfmodulus(build_fifth_order_cnoidal(1.0, 1.0, 1.0), max(1, 2 * window))
+        for seq in (cn2, cn4):
+            assert_same_report(pf2_check(seq, window=window),
+                               pf2_check_bruteforce(seq, window=window))
+
+    def test_spike_matches_bruteforce(self):
+        spike = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 10.0, 1.0])
+        for window in (1, 3, 5):
+            assert_same_report(pf2_check(spike, window=window),
+                               pf2_check_bruteforce(spike, window=window))
+
+    @given(pf2_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_bruteforce(self, case):
+        values, window = case
+        assert_same_report(pf2_check(values, window=window),
+                           pf2_check_bruteforce(values, window=window))
+
+    def test_window_60_memory(self):
+        seq = cn4_coeffs_halfmodulus(build_fifth_order_cnoidal(1.0, 1.0, 1.0), 120)
+        tracemalloc.start()
+        try:
+            report = pf2_check(seq, window=60)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak < 8 * 2 ** 20
 
 
 class TestAnalyticDispatch:

@@ -198,6 +198,21 @@ class TestCn2Derivative:
         with pytest.raises(ValueError, match="mass flux of the sign of gamma"):
             cn2_norm_derivative(1.0, 1.0, 1.0, -0.1, mode=mode)
 
+    @pytest.mark.parametrize("mode", ["fixed-flux", "fixed-period"])
+    def test_negative_gamma_wave_is_stable(self, mode):
+        # gamma -> -gamma with flux -> -flux leaves cn2_params unchanged but
+        # the sign of the amplitude, so both modes see the mirrored wave
+        rep = cn2_norm_derivative(-1.0, 1.0, 1.0, -1.0, mode=mode)
+        assert rep.verdict == "stable"
+        mirror = cn2_norm_derivative(1.0, 1.0, 1.0, 1.0, mode=mode)
+        assert rep.norm_derivative == pytest.approx(mirror.norm_derivative, rel=1e-9)
+
+    def test_fixed_period_flux_takes_the_sign_of_gamma(self):
+        lam0 = build_kdv_cnoidal(1.0, 1.0, 1.0, 1.0).cnoidal.wavelength
+        pos = solve_flux_for_wavelength(1.0, 1.0, 1.01, lam0, flux_guess=1.0)
+        neg = solve_flux_for_wavelength(-1.0, 1.0, 1.01, lam0, flux_guess=-1.0)
+        assert neg == -pos
+
 
 class TestParsevalBridge:
     @pytest.mark.parametrize("c,flux", [(1.0, 1.0), (0.5, 2.0), (2.0, 0.5)])
