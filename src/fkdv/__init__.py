@@ -13,16 +13,13 @@ from .elliptic import (
     complete_E,
     complete_K,
     jacobi_cn,
-    jacobi_sn_cn_dn,
     legendre_D,
-    nome,
 )
 from .fourier import (
     CoeffSequence,
     Pf2Report,
     cn2_coeffs,
     cn4_coeffs_halfmodulus,
-    cn4_series_general_k,
     dft_coeffs,
     dft_cosine_coeffs,
     pf2_check,

@@ -21,8 +21,11 @@ from . import fourier, pde, stability, waves
 
 _USAGE_ERROR = 2
 _CHECK_FAILED = 1
-# verify's PF(2) check is O(nmax^3) in time and O(nmax^2) in memory
+# verify's PF(2) check is O(nmax^3) in time and O(nmax^2) in memory; a
+# profile holds a few arrays of --samples floats; --jmax is a series length
 _NMAX_CAP = 64
+_SAMPLES_CAP = 2 ** 20
+_JMAX_CAP = 10_000
 _GRID_CAP = 2 ** 16
 
 
@@ -69,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
                         default="both", help="what is held fixed while differentiating in c")
     p_stab.add_argument("--c-grid", default=None,
                         help="comma-separated speeds (default: the single --c)")
-    p_stab.add_argument("--jmax", type=int, default=200, help="series truncation")
+    p_stab.add_argument("--jmax", type=int, default=200, help=f"series truncation, 1..{_JMAX_CAP}")
 
     p_sim = command("simulate", "evolve a (perturbed) wave")
     p_sim.add_argument("--gridN", dest="grid_n", type=int, default=0,
@@ -117,9 +120,12 @@ def _check_args(args):
     if args.cee != 0.0 and args.command != "simulate":
         raise ValueError(f"--C {args.cee!r}: the closed forms assume C = 0; "
                          "only simulate takes a nonzero C")
-    nmax = getattr(args, "nmax", 1)
-    if not 1 <= nmax <= _NMAX_CAP:
-        raise ValueError(f"--nmax must lie in [1, {_NMAX_CAP}], got {nmax}")
+    # --samples 0 picks the family default
+    for flag, value, lo, hi in (("--nmax", getattr(args, "nmax", 1), 1, _NMAX_CAP),
+                                ("--samples", getattr(args, "samples", 0) or 64, 64, _SAMPLES_CAP),
+                                ("--jmax", getattr(args, "jmax", 1), 1, _JMAX_CAP)):
+        if not lo <= value <= hi:
+            raise ValueError(f"{flag} must lie in [{lo}, {hi}], got {value}")
     grid_n = getattr(args, "grid_n", 0)
     if grid_n and not (0 < grid_n <= _GRID_CAP and grid_n & (grid_n - 1) == 0):
         raise ValueError(f"--gridN must be a power of two up to {_GRID_CAP} "

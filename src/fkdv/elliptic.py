@@ -1,10 +1,10 @@
-"""Complete elliptic integrals, the nome, and the Jacobi cn function.
+"""Complete elliptic integrals and the Jacobi cn function.
 
-K and E are computed with the arithmetic-geometric mean iteration, cn with
-the descending Landen (Gauss) transformation built on the same AGM sequence.
+K and E come from one arithmetic-geometric mean iteration, cn from the
+descending Landen (Gauss) transformation built on the same AGM sequence.
 Both converge quadratically, so every value here is good to a few ulps
-without any series-truncation tuning.  All downstream modules consume these
-through :class:`EllipticContext`.
+without any series-truncation tuning.  An :class:`EllipticContext` holds
+K, E, D and the nome of a modulus for two AGM runs, one at k and one at k'.
 """
 
 from __future__ import annotations
@@ -19,9 +19,8 @@ __all__ = [
     "complete_K",
     "complete_E",
     "legendre_D",
-    "nome",
     "jacobi_cn",
-    "jacobi_sn_cn_dn",
+    "CSCH_OVERFLOW",
 ]
 
 # Below this modulus the elliptic functions are replaced by their
@@ -29,6 +28,10 @@ __all__ = [
 _TRIG_LIMIT = 1e-8
 
 _MAX_AGM_ITER = 64
+
+# csch(x) = 1/sinh(x) for x beyond this overflows sinh; the terms of the
+# nome series there lie below the smallest subnormal and count as exact zeros
+CSCH_OVERFLOW = 700.0
 
 
 def _check_modulus(k: float, *, allow_one: bool = False) -> float:
@@ -41,28 +44,41 @@ def _check_modulus(k: float, *, allow_one: bool = False) -> float:
 
 
 def _agm_sequence(k: float):
-    """AGM triple (a_n, b_n, c_n) starting from a0=1, b0=k', c0=k."""
+    """AGM sequences (a_n, c_n) starting from a0=1, b0=k', c0=k."""
     a = [1.0]
-    b = [math.sqrt((1.0 - k) * (1.0 + k))]
+    b = math.sqrt((1.0 - k) * (1.0 + k))
     c = [k]
     # the gap can stall at half an ulp of a, so the cutoff is one relative ulp
     while abs(c[-1]) > 2.3e-16 * a[-1]:
         if len(a) > _MAX_AGM_ITER:
             raise RuntimeError(f"AGM failed to converge for k={k!r}")
-        a_next = 0.5 * (a[-1] + b[-1])
-        b_next = math.sqrt(a[-1] * b[-1])
-        c_next = 0.5 * (a[-1] - b[-1])
-        a.append(a_next)
-        b.append(b_next)
-        c.append(c_next)
-    return a, b, c
+        a_prev = a[-1]
+        a.append(0.5 * (a_prev + b))
+        c.append(0.5 * (a_prev - b))
+        b = math.sqrt(a_prev * b)
+    return a, c
+
+
+def _complete_KED(k: float) -> tuple[float, float, float]:
+    """K, E and D = (K - E)/k^2 from one AGM run; below k = 0.02 D is legendre_D's series."""
+    a, c = _agm_sequence(k)
+    csum = 0.0
+    power = 0.5
+    for cn_ in c:
+        csum += power * cn_ * cn_
+        power *= 2.0
+    K = math.pi / (2.0 * a[-1])
+    E = K * (1.0 - csum)
+    if k < 0.02:
+        k2 = k * k
+        D = (math.pi / 4.0) * (1.0 + k2 * (3.0 / 8.0 + k2 * (15.0 / 64.0 + k2 * 175.0 / 1024.0)))
+        return K, E, D
+    return K, E, (K - E) / (k * k)
 
 
 def complete_K(k: float) -> float:
     """Complete elliptic integral of the first kind, K(k) = pi/(2 agm(1, k'))."""
-    k = _check_modulus(k)
-    a, _, _ = _agm_sequence(k)
-    return math.pi / (2.0 * a[-1])
+    return _complete_KED(_check_modulus(k))[0]
 
 
 def complete_E(k: float) -> float:
@@ -74,14 +90,7 @@ def complete_E(k: float) -> float:
     k = _check_modulus(k, allow_one=True)
     if k == 1.0:
         return 1.0
-    a, _, c = _agm_sequence(k)
-    csum = 0.0
-    power = 0.5
-    for cn_ in c:
-        csum += power * cn_ * cn_
-        power *= 2.0
-    K = math.pi / (2.0 * a[-1])
-    return K * (1.0 - csum)
+    return _complete_KED(k)[1]
 
 
 def legendre_D(k: float) -> float:
@@ -93,61 +102,34 @@ def legendre_D(k: float) -> float:
     limit is pi/4.
     """
     k = _check_modulus(k)
-    if k < 0.02:
-        k2 = k * k
-        return (math.pi / 4.0) * (1.0 + k2 * (3.0 / 8.0 + k2 * (15.0 / 64.0 + k2 * 175.0 / 1024.0)))
-    return (complete_K(k) - complete_E(k)) / (k * k)
+    return _complete_KED(k)[2]
 
 
-def nome(k: float) -> float:
-    """Elliptic nome q = exp(-pi K'/K); q = 0 at k = 0."""
-    k = _check_modulus(k)
-    if k == 0.0:
-        return 0.0
-    kprime = math.sqrt((1.0 - k) * (1.0 + k))
-    return math.exp(-math.pi * complete_K(kprime) / complete_K(k))
+def jacobi_cn(z, k: float):
+    """Jacobi cn(z, k) by the descending Landen transformation; cn(z, 0) = cos z.
 
-
-def jacobi_sn_cn_dn(z, k: float):
-    """Jacobi sn, cn, dn via the descending Landen transformation.
-
-    The argument is reduced modulo the full period 4K before the phase
-    recursion, so periodicity holds to rounding.  Accepts scalars or arrays;
-    absolute accuracy is a few ulps for 0 <= k <= 1 - 1e-10.
+    z is reduced modulo the full period 4K first, so cn(z + 4K) = cn(z) to
+    rounding.  Scalars or arrays; a few ulps absolute for 0 <= k <= 1 - 1e-10.
     """
     k = _check_modulus(k)
     z = np.asarray(z, dtype=float)
     if not np.all(np.isfinite(z)):
         raise ValueError("argument of the elliptic functions must be finite")
     if k < _TRIG_LIMIT:
-        return np.sin(z), np.cos(z), np.ones_like(z)
+        return np.cos(z)
 
-    # evaluate on |z| so that cn is even and sn odd bit-for-bit
-    sign = np.sign(z)
+    # evaluate on |z| so that cn is even bit-for-bit
     z = np.abs(z)
-
-    a, _, c = _agm_sequence(k)
+    a, c = _agm_sequence(k)
     n_last = len(a) - 1
     K = math.pi / (2.0 * a[-1])
     z = np.mod(z + 2.0 * K, 4.0 * K) - 2.0 * K
 
     phi = (2.0 ** n_last) * a[-1] * z
-    phi_prev = phi
     for n in range(n_last, 0, -1):
-        phi_prev = phi
         phi = 0.5 * (phi + np.arcsin(np.clip(c[n] / a[n] * np.sin(phi), -1.0, 1.0)))
-    sn = np.sin(phi) * sign
     cn = np.cos(phi)
-    denom = np.cos(phi_prev - phi)
-    dn = np.where(np.abs(denom) > 1e-300, cn / np.where(denom == 0.0, 1.0, denom), 1.0)
-    if sn.ndim == 0:
-        return float(sn), float(cn), float(dn)
-    return sn, cn, dn
-
-
-def jacobi_cn(z, k: float):
-    """Jacobi cn(z, k); cn(z, 0) = cos z, cn(z + 4K) = cn(z)."""
-    return jacobi_sn_cn_dn(z, k)[1]
+    return float(cn) if cn.ndim == 0 else cn
 
 
 @dataclass(frozen=True)
@@ -175,8 +157,7 @@ class EllipticContext:
     def from_modulus(cls, k: float) -> "EllipticContext":
         k = _check_modulus(k)
         kprime = math.sqrt((1.0 - k) * (1.0 + k))
-        K = complete_K(k)
-        E = complete_E(k)
+        K, E, D = _complete_KED(k)
         Kprime = complete_K(kprime) if k > 0.0 else math.inf
         return cls(
             k=k,
@@ -184,6 +165,6 @@ class EllipticContext:
             K=K,
             E=E,
             Kprime=Kprime,
-            D=legendre_D(k),
+            D=D,
             q=math.exp(-math.pi * Kprime / K) if k > 0.0 else 0.0,
         )

@@ -23,11 +23,9 @@ q^n/(1 - q^{2n}) = csch(n pi K'/K)/2):
                u_hat(n) = (M pi^2 / L^2 k^2) n csch(n pi K'/K);
 * cn^4 wave at modulus sqrt2/2:
                u_hat(0) = 5c/6g,
-               u_hat(n) = (5 c pi^4 / 6 g K^4) n^3 csch(n pi);
-* cn^4 at general modulus (coefficients of cn^4 itself, in z with
-  half-period K): constant (1/3k^4)[2(k^2-k'^2)(E/K-k'^2) + k^2 k'^2] and
-  n-th term (pi^2 / k^4 K^2)(n q^n/(1-q^{2n}))(1/3)[2(k^2-k'^2)
-  + n^2 pi^2/(2K^2)].
+               u_hat(n) = (5 c pi^4 / 6 g K^4) n^3 csch(n pi).
+
+Terms whose csch argument passes ``CSCH_OVERFLOW`` are exact zeros.
 """
 
 from __future__ import annotations
@@ -38,30 +36,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import EllipticContext
-from .waves import (CN4_MODULUS, FIFTH_CNOIDAL, KDV_CNOIDAL, CnoidalParams, WaveProfile,
-                    write_csv)
+from .elliptic import CSCH_OVERFLOW, EllipticContext
+from .waves import CN4_K, FIFTH_CNOIDAL, KDV_CNOIDAL, CnoidalParams, WaveProfile
 
 __all__ = [
-    "COSINE_CONVENTION",
     "CoeffSequence",
     "Pf2Report",
     "AliasingWarning",
     "analytic_coeffs",
     "cn2_coeffs",
     "cn4_coeffs_halfmodulus",
-    "cn4_series_general_k",
     "dft_cosine_coeffs",
     "dft_coeffs",
     "pf2_check",
 ]
-
-COSINE_CONVENTION = ("u_hat(n) = (1/2L) int u exp(-i n pi xi/L);  "
-                     "u(xi) = u_hat(0) + sum_{n>=1} 2 u_hat(n) cos(n pi xi/L)")
-
-# arguments of csch beyond this overflow exp(); the coefficient is below
-# the smallest subnormal and is reported as an exact zero
-_CSCH_OVERFLOW = 700.0
 
 
 class AliasingWarning(UserWarning):
@@ -77,14 +65,11 @@ class CoeffSequence:
     """Symmetric cosine-coefficient sequence indexed by n in [-n_max, n_max].
 
     Only n >= 0 is stored; symmetry coeff(-n) = coeff(n) is structural.
-    ``underflow`` marks sequences whose tail was cut to exact zeros by the
-    csch overflow guard.
+    The values follow the transform convention of the module docstring.
     """
 
     values: np.ndarray
     half_period: float
-    normalization: str = COSINE_CONVENTION
-    underflow: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
@@ -99,10 +84,6 @@ class CoeffSequence:
             raise IndexError(f"coefficient index {n} beyond truncation {self.n_max}")
         return float(self.values[n])
 
-    @property
-    def strictly_positive(self) -> bool:
-        return bool(np.all(self.values > 0.0))
-
     def two_sided(self) -> np.ndarray:
         """Array of coeff(n) for n = -n_max .. n_max."""
         return np.concatenate([self.values[:0:-1], self.values])
@@ -110,17 +91,6 @@ class CoeffSequence:
     def ell2_norm_sq(self) -> float:
         """Two-sided sequence norm sum_{n in Z} coeff(n)^2 = (1/2L) int u^2."""
         return float(self.values[0] ** 2 + 2.0 * np.sum(self.values[1:] ** 2))
-
-    def reconstruct(self, xi) -> np.ndarray:
-        """Evaluate the truncated series u_hat(0) + sum 2 u_hat(n) cos(...)."""
-        xi = np.asarray(xi, dtype=float)
-        total = np.full_like(xi, self.values[0])
-        for n in range(1, self.n_max + 1):
-            total = total + 2.0 * self.values[n] * np.cos(n * math.pi * xi / self.half_period)
-        return total
-
-    def to_csv(self, path=None) -> str:
-        return write_csv(path, ("n", "coeff"), enumerate(self.values))
 
 
 def cn2_coeffs(cn: CnoidalParams, n_max: int) -> CoeffSequence:
@@ -133,14 +103,12 @@ def cn2_coeffs(cn: CnoidalParams, n_max: int) -> CoeffSequence:
     vals[0] = (2.0 * cn.emm * ctx.K / L ** 2) * (ctx.K - ctx.D)
     ratio = math.pi * ctx.Kprime / ctx.K
     pref = cn.emm * math.pi ** 2 / (L ** 2 * cn.modulus ** 2)
-    underflow = False
     for n in range(1, n_max + 1):
         x = n * ratio
-        if x > _CSCH_OVERFLOW:
-            underflow = True
+        if x > CSCH_OVERFLOW:
             break
         vals[n] = pref * n * _csch(x)
-    return CoeffSequence(values=vals, half_period=L, underflow=underflow)
+    return CoeffSequence(values=vals, half_period=L)
 
 
 def cn4_coeffs_halfmodulus(profile: WaveProfile, n_max: int) -> CoeffSequence:
@@ -151,19 +119,15 @@ def cn4_coeffs_halfmodulus(profile: WaveProfile, n_max: int) -> CoeffSequence:
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     p = profile.params
-    ctx = EllipticContext.from_modulus(CN4_MODULUS)
     vals = np.zeros(n_max + 1)
     vals[0] = 5.0 * p.c / (6.0 * p.gamma)
-    pref = 5.0 * p.c * math.pi ** 4 / (6.0 * p.gamma * ctx.K ** 4)
-    underflow = False
+    pref = 5.0 * p.c * math.pi ** 4 / (6.0 * p.gamma * CN4_K ** 4)
     for n in range(1, n_max + 1):
         x = n * math.pi
-        if x > _CSCH_OVERFLOW:
-            underflow = True
+        if x > CSCH_OVERFLOW:
             break
         vals[n] = pref * n ** 3 * _csch(x)
-    return CoeffSequence(values=vals, half_period=profile.cnoidal.half_period,
-                         underflow=underflow)
+    return CoeffSequence(values=vals, half_period=profile.cnoidal.half_period)
 
 
 def analytic_coeffs(profile: WaveProfile, n_max: int) -> CoeffSequence:
@@ -173,36 +137,6 @@ def analytic_coeffs(profile: WaveProfile, n_max: int) -> CoeffSequence:
     if profile.family == FIFTH_CNOIDAL:
         return cn4_coeffs_halfmodulus(profile, n_max)
     raise ValueError(f"no analytic coefficients for the {profile.family!r} family")
-
-
-def cn4_series_general_k(k: float, n_max: int) -> CoeffSequence:
-    """Cosine coefficients of cn^4(z, k) in z, half-period K(k).
-
-    At k = sqrt2/2 the k^2 - k'^2 factors vanish and the sequence collapses
-    to the half-modulus shape: constant 1/3 and terms ~ n^3 csch(n pi).
-    """
-    if not 0.0 < k < 1.0:
-        raise ValueError(f"modulus must lie in (0, 1), got {k!r}")
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    ctx = EllipticContext.from_modulus(k)
-    k2 = k * k
-    kp2 = ctx.kprime ** 2
-    k4 = k2 * k2
-    vals = np.zeros(n_max + 1)
-    vals[0] = (2.0 * (k2 - kp2) * (ctx.E / ctx.K - kp2) + k2 * kp2) / (3.0 * k4)
-    ratio = math.pi * ctx.Kprime / ctx.K
-    underflow = False
-    for n in range(1, n_max + 1):
-        x = n * ratio
-        if x > _CSCH_OVERFLOW:
-            underflow = True
-            break
-        qfac = 0.5 * _csch(x)
-        vals[n] = (math.pi ** 2 / (k4 * ctx.K ** 2)) * n * qfac * (
-            2.0 * (k2 - kp2) + n * n * math.pi ** 2 / (2.0 * ctx.K ** 2)
-        ) / 3.0
-    return CoeffSequence(values=vals, half_period=ctx.K, underflow=underflow)
 
 
 def dft_cosine_coeffs(u: np.ndarray, half_period: float, n_max: int) -> CoeffSequence:
@@ -288,10 +222,16 @@ def pf2_check(seq, window: int = 12, tol_factor: float = 1e-14) -> Pf2Report:
     window; ``failures`` counts those quadruples.  ``min_location`` is the
     lexicographically first (n1, n2, m1, m2) among all quadruples tied at the
     minimum; with no finite minor it is (-w, -w, -w, -w) and the minimum inf.
+    Entries that are not finite, or whose largest square overflows (and with
+    it the tolerance, so every minor would pass), are rejected.
     """
     values, reach = _twosided_values(seq)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("PF(2) check needs finite coefficients; the sequence holds inf or NaN")
     if np.any(values < 0.0) or not np.any(values > 0.0):
         raise ValueError("PF(2) check expects a nonnegative, nontrivial sequence")
+    if np.max(values) > math.sqrt(np.finfo(float).max):
+        raise ValueError(f"the square of the largest entry {np.max(values):.3e} overflows")
     if window < 0:
         raise ValueError(f"window must be nonnegative, got {window!r}")
     w = window

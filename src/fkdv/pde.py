@@ -52,6 +52,7 @@ __all__ = [
 ]
 
 _BLOWUP_FACTOR = 100.0
+_DT_CAP = 0.01
 
 
 class BlowUpError(RuntimeError):
@@ -194,8 +195,8 @@ def step(state: SpectralState, dt: float) -> SpectralState:
     return replace(state, field=field, time=state.time + dt)
 
 
-def default_dt(state: SpectralState, cap: float = 0.01) -> float:
-    """Advective step bound 0.5 dx / max|gamma u|, limited by ``cap``.
+def default_dt(state: SpectralState) -> float:
+    """Advective step bound 0.5 dx / max|gamma u|, at most 0.01.
 
     The dispersive terms are integrated exactly, so only the nonlinear
     advection scale constrains dt; the cap keeps the time truncation error
@@ -204,8 +205,8 @@ def default_dt(state: SpectralState, cap: float = 0.01) -> float:
     dx = state.domain_length / state.grid_n
     speed = abs(state.params.gamma) * float(np.max(np.abs(state.field)))
     if speed == 0.0:
-        return cap
-    return min(0.5 * dx / speed, cap)
+        return _DT_CAP
+    return min(0.5 * dx / speed, _DT_CAP)
 
 
 def evolve(state: SpectralState, t_end: float, dt: float | None = None,
@@ -216,8 +217,8 @@ def evolve(state: SpectralState, t_end: float, dt: float | None = None,
     the flow; the mean mode is untouched by construction, so mass is exact).
     Distances are shift-minimized H^1/H^2 distances to ``reference`` when
     one is given, else zero.  Returns (final_state, records); records always
-    include t = 0 and the final time.  Integrating backward (``t_end`` before
-    the state's time) or with a nonpositive ``dt`` is rejected.
+    include t = 0 and the final time.  A backward run (``t_end`` before the
+    state's time), ``dt <= 0`` and ``record_every < 1`` are rejected.
     """
     if t_end < state.time:
         raise ValueError(f"t_end = {t_end!r} lies before the state's time {state.time!r}")
@@ -225,6 +226,8 @@ def evolve(state: SpectralState, t_end: float, dt: float | None = None,
         dt = default_dt(state)
     if dt <= 0.0:
         raise ValueError("dt must be positive")
+    if record_every < 1:
+        raise ValueError(f"record_every must be at least 1, got {record_every!r}")
     n_steps = max(1, int(math.ceil((t_end - state.time) / dt - 1e-12)))
     dt = (t_end - state.time) / n_steps
     coeffs = _etdrk4_coeffs(state.grid_n, state.domain_length, state.params, dt)
@@ -446,8 +449,7 @@ class ExperimentReport:
 
 def stability_experiment(profile: WaveProfile, perturbation: Perturbation | None,
                          horizon: float | None = None, grid_n: int | None = None,
-                         dt: float | None = None, record_every: int = 50,
-                         dt_cap: float = 0.01) -> ExperimentReport:
+                         dt: float | None = None, record_every: int = 50) -> ExperimentReport:
     """Evolve a (perturbed) wave and track its distance to the unperturbed orbit.
 
     ``horizon`` defaults to ten characteristic times; ``grid_n`` to 1024 on
@@ -467,7 +469,7 @@ def stability_experiment(profile: WaveProfile, perturbation: Perturbation | None
                                 profile.amplitude)
         state = replace(state, field=u0)
     if dt is None:
-        dt = default_dt(state, cap=dt_cap)
+        dt = default_dt(state)
     d1_0, _ = orbital_distance(u0, reference, state.domain_length, 1)
     d2_0, _ = orbital_distance(u0, reference, state.domain_length, 2)
     final, records = evolve(state, horizon, dt=dt, record_every=record_every,

@@ -30,8 +30,8 @@ from math import lgamma
 
 import numpy as np
 
-from .elliptic import EllipticContext
-from .waves import (CN4_MODULUS, FIFTH_CNOIDAL, FIFTH_SOLITON, KDV_CNOIDAL, KDV_SOLITON,
+from .elliptic import CSCH_OVERFLOW, EllipticContext
+from .waves import (CN4_K, FIFTH_CNOIDAL, FIFTH_SOLITON, KDV_CNOIDAL, KDV_SOLITON,
                     cn2_params, cn4_wavelength, write_csv)
 
 __all__ = [
@@ -138,8 +138,8 @@ class GegenbauerSeriesSpec:
     which is what makes b_0 the single negative term.
     """
 
-    r: float = 4.0
-    n: float = 2.0
+    r = 4.0  # not fields: the orders are constants
+    n = 2.0
     gamma_coef: float = 1.0
 
     @property
@@ -222,13 +222,13 @@ def gegenbauer_verdict(spec: GegenbauerSeriesSpec, jmax: int = 200) -> Stability
 # cn^2 family: sequence norm and its derivative in c
 # ---------------------------------------------------------------------------
 
-def _csch_sums(k: float, K: float, Kprime: float):
+def _csch_sums(K: float, Kprime: float):
     """S2 = sum_{n != 0} n^2 csch^2(n pi K'/K) and S3 with the extra n coth."""
     ratio = math.pi * Kprime / K
     s2 = s3 = 0.0
     for n in range(1, _SERIES_CAP + 1):
         x = n * ratio
-        if x > 700.0:
+        if x > CSCH_OVERFLOW:
             break
         cs = 1.0 / math.sinh(x)
         t2 = n * n * cs * cs
@@ -254,7 +254,7 @@ def cn2_ell2_norm_sq(gamma: float, alpha: float, c: float, flux_a: float,
     cn, ctx = cn2_params(gamma, alpha, c, flux_a)
     L = cn.half_period if half_period is None else half_period
     k, emm = cn.modulus, cn.emm
-    s2, _ = _csch_sums(k, ctx.K, ctx.Kprime)
+    s2, _ = _csch_sums(ctx.K, ctx.Kprime)
     head = (4.0 * emm ** 2 * ctx.K ** 2 / L ** 4) * (ctx.K - ctx.D) ** 2
     return head + (emm ** 2 * math.pi ** 4 / (L ** 4 * k ** 4)) * s2
 
@@ -270,12 +270,14 @@ def cn4_series_constant() -> float:
     return 2.0 * s
 
 
+_CN4_SERIES = cn4_series_constant()
+
+
 def cn4_ell2_norm_sq(gamma: float, c: float) -> float:
     """25 c^2/(36 g^2) + (25 c^2 pi^8 / 36 g^2 K^8) sum_{n != 0} n^6 csch^2(n pi)."""
-    K = EllipticContext.from_modulus(CN4_MODULUS).K
     return (25.0 * c ** 2 / (36.0 * gamma ** 2)
-            + 25.0 * c ** 2 * math.pi ** 8 / (36.0 * gamma ** 2 * K ** 8)
-            * cn4_series_constant())
+            + 25.0 * c ** 2 * math.pi ** 8 / (36.0 * gamma ** 2 * CN4_K ** 8)
+            * _CN4_SERIES)
 
 
 def _richardson(f, x: float, h: float) -> float:
@@ -405,7 +407,7 @@ def cn2_norm_derivative(gamma: float, alpha: float, c: float, flux_a: float,
     h_k = 1e-6
     dK_dk = _richardson(lambda q: EllipticContext.from_modulus(q).K, k, h_k)
     dKp_dk = _richardson(lambda q: EllipticContext.from_modulus(q).Kprime, k, h_k)
-    s2, s3 = _csch_sums(k, ctx.K, ctx.Kprime)
+    s2, s3 = _csch_sums(ctx.K, ctx.Kprime)
 
     kmd = ctx.K - ctx.D
     term_i = (8.0 * emm * ctx.K / L0 ** 4) * kmd ** 2 * d_mk
@@ -451,7 +453,7 @@ def cn4_norm_derivative(gamma: float, beta: float, c: float) -> StabilityReport:
         norm_derivative=deriv,
         functional_i=-0.25 * cn4_wavelength(beta, c) * deriv,
         verdict=_sign_verdict(deriv),
-        terms={"norm": norm, "series_constant": cn4_series_constant()},
+        terms={"norm": norm, "series_constant": _CN4_SERIES},
     )
 
 

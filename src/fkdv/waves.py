@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .elliptic import EllipticContext, jacobi_cn
+from .elliptic import EllipticContext, complete_K, jacobi_cn
 
 __all__ = [
     "FIFTH_SOLITON",
@@ -38,6 +38,7 @@ __all__ = [
     "FIFTH_CNOIDAL",
     "FAMILIES",
     "CN4_MODULUS",
+    "CN4_K",
     "MediumParams",
     "CnoidalParams",
     "WaveProfile",
@@ -70,6 +71,7 @@ _MODULUS_CAP = 1.0 - 1e-10
 _SOLITARY_WIDTHS = 20.0
 
 CN4_MODULUS = math.sqrt(2.0) / 2.0
+CN4_K = complete_K(CN4_MODULUS)
 
 
 class DegenerateModulusError(ValueError):
@@ -286,8 +288,7 @@ def build_kdv_cnoidal(gamma: float, alpha: float, c: float, flux_a: float,
 
 def cn4_wavelength(beta: float, c: float) -> float:
     """Wavelength 2 sqrt2 (42 beta/c)^{1/4} K(sqrt2/2) of the cn^4 wave."""
-    K = EllipticContext.from_modulus(CN4_MODULUS).K
-    return 2.0 * math.sqrt(2.0) * (42.0 * beta / c) ** 0.25 * K
+    return 2.0 * math.sqrt(2.0) * (42.0 * beta / c) ** 0.25 * CN4_K
 
 
 def build_fifth_order_cnoidal(gamma: float, beta: float, c: float,

@@ -183,6 +183,25 @@ class TestValidation:
         assert run(["verify", "--family", "kdv-cnoidal", "--nmax", nmax]) == 2
         assert "--nmax" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,samples", [("profile", "63"), ("verify", "-1"),
+                                                 ("profile", str(2 ** 20 + 1))])
+    def test_samples_cap(self, command, samples, monkeypatch, capsys):
+        monkeypatch.setitem(cli._COMMANDS, command, unreachable)
+        assert run([command, "--family", "kdv-soliton", "--samples", samples]) == 2
+        assert "--samples" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jmax", ["0", "10001"])
+    def test_jmax_cap(self, jmax, monkeypatch, capsys):
+        monkeypatch.setitem(cli._COMMANDS, "stability", unreachable)
+        assert run(["stability", "--family", "fifth-soliton", "--jmax", jmax]) == 2
+        assert "--jmax" in capsys.readouterr().err
+
+    def test_record_every_zero_is_a_usage_error(self, tmp_path, capsys):
+        assert run(["simulate", "--family", "kdv-soliton", "--gridN", "256",
+                    "--horizon", "0.1", "--record-every", "0",
+                    "--out", str(tmp_path / "s")]) == 2
+        assert "record_every" in capsys.readouterr().err
+
     def test_nmax_cap_admits_its_bound(self, tmp_path, capsys):
         assert run(["verify", "--family", "kdv-cnoidal", "--nmax", "64",
                     "--out", str(tmp_path / "v")]) == 0

@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ellipj
 
+import fkdv.elliptic as elliptic
 from fkdv.elliptic import (
     EllipticContext,
     complete_E,
     complete_K,
     jacobi_cn,
-    jacobi_sn_cn_dn,
     legendre_D,
-    nome,
 )
 
 # frozen oracle values for k = sqrt(2)/2 (30-digit AGM iteration)
@@ -128,9 +127,13 @@ class TestJacobiCn:
     @given(z=st.floats(-20.0, 20.0), k=st.floats(0.0, 0.999))
     @settings(max_examples=200, deadline=None)
     def test_bounded_and_pythagorean(self, z, k):
-        sn, cn, _ = jacobi_sn_cn_dn(z, k)
+        # cn(K - z) = k' sn z / dn z; with sn^2 = 1 - cn^2 and
+        # dn^2 = k'^2 + k^2 cn^2 this ties cn(K - z) to cn(z) alone
+        cn = jacobi_cn(z, k)
         assert -1.0 - 1e-12 <= cn <= 1.0 + 1e-12
-        assert abs(sn * sn + cn * cn - 1.0) < 1e-12
+        kp2 = (1.0 - k) * (1.0 + k)
+        cn_reflected = jacobi_cn(complete_K(k) - z, k)
+        assert abs(cn_reflected ** 2 * (kp2 + k * k * cn * cn) - kp2 * (1.0 - cn * cn)) < 1e-12
 
     def test_rejects_nonfinite_argument(self):
         with pytest.raises(ValueError):
@@ -160,7 +163,20 @@ class TestEllipticContext:
     def test_nome_in_unit_interval(self, k):
         ctx = EllipticContext.from_modulus(k)
         assert 0.0 < ctx.q < 1.0
-        assert ctx.q == pytest.approx(nome(k), rel=1e-15)
+
+    @pytest.mark.parametrize("k", [0.01, 0.5, 1.0 - 1e-10])
+    def test_one_agm_run_per_modulus(self, k, monkeypatch):
+        # one AGM for K and E at k, one for K' at k'
+        runs = []
+        agm = elliptic._agm_sequence
+        monkeypatch.setattr(elliptic, "_agm_sequence", lambda q: runs.append(q) or agm(q))
+        ctx = EllipticContext.from_modulus(k)
+        assert runs == [k, ctx.kprime]
+
+    def test_context_matches_the_functions(self):
+        for k in (0.0, 0.01, 0.3, 0.95):
+            ctx = EllipticContext.from_modulus(k)
+            assert (ctx.K, ctx.E, ctx.D) == (complete_K(k), complete_E(k), legendre_D(k))
 
     def test_zero_modulus_context(self):
         ctx = EllipticContext.from_modulus(0.0)

@@ -318,6 +318,12 @@ class TestExperiments:
         with pytest.raises(ValueError, match="dt"):
             evolve(state, 1.0, dt=dt)
 
+    @pytest.mark.parametrize("record_every", [0, -3])
+    def test_nonpositive_record_every_rejected(self, record_every):
+        state, _ = state_from_profile(build_kdv_soliton(1.0, 1.0, 1.0), grid_n=256)
+        with pytest.raises(ValueError, match="record_every"):
+            evolve(state, 1.0, dt=0.1, record_every=record_every)
+
     def test_default_dt_cfl(self):
         prof = build_kdv_soliton(1.0, 1.0, 1.0)
         state, _ = state_from_profile(prof, grid_n=512)
