@@ -43,10 +43,14 @@ def _check_modulus(k: float, *, allow_one: bool = False) -> float:
     return k
 
 
-def _agm_sequence(k: float):
-    """AGM sequences (a_n, c_n) starting from a0=1, b0=k', c0=k."""
+def _agm_sequence(k: float, kprime: float | None = None):
+    """AGM sequences (a_n, c_n) starting from a0=1, b0=k', c0=k.
+
+    ``kprime`` defaults to sqrt((1 - k)(1 + k)); a caller that knows k' more
+    accurately than that (k' of a small complementary modulus) passes it.
+    """
     a = [1.0]
-    b = math.sqrt((1.0 - k) * (1.0 + k))
+    b = math.sqrt((1.0 - k) * (1.0 + k)) if kprime is None else kprime
     c = [k]
     # the gap can stall at half an ulp of a, so the cutoff is one relative ulp
     while abs(c[-1]) > 2.3e-16 * a[-1]:
@@ -59,9 +63,9 @@ def _agm_sequence(k: float):
     return a, c
 
 
-def _complete_KED(k: float) -> tuple[float, float, float]:
+def _complete_KED(k: float, kprime: float | None = None) -> tuple[float, float, float]:
     """K, E and D = (K - E)/k^2 from one AGM run; below k = 0.02 D is legendre_D's series."""
-    a, c = _agm_sequence(k)
+    a, c = _agm_sequence(k, kprime)
     csum = 0.0
     power = 0.5
     for cn_ in c:
@@ -158,7 +162,9 @@ class EllipticContext:
         k = _check_modulus(k)
         kprime = math.sqrt((1.0 - k) * (1.0 + k))
         K, E, D = _complete_KED(k)
-        Kprime = complete_K(kprime) if k > 0.0 else math.inf
+        # K(k') from the AGM of (1, k): sqrt((1 - k')(1 + k')) has lost
+        # the digits of a small k (it is 0 below k ~ 1e-8)
+        Kprime = _complete_KED(kprime, k)[0] if k > 0.0 else math.inf
         return cls(
             k=k,
             kprime=kprime,

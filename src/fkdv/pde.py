@@ -17,7 +17,11 @@ dispersion phase no matter the step.
 
 Sobolev norms on the box use ||f||^2_{H^s} = sum_kappa (1 + kappa^2)^s
 |f_hat(kappa)|^2 with f_hat = FFT(f)/N; this one convention backs every
-distance reported here.
+distance reported here.  The orbital distance minimizes over continuous
+shifts: one FFT correlation picks the best grid shift, and a safeguarded
+Newton iteration on the trigonometric polynomial dist^2(y) refines it to
+about 1e-12 of a cell.  ``evolve`` transforms the reference once per run
+and each recorded field once for both Sobolev orders.
 """
 
 from __future__ import annotations
@@ -53,6 +57,12 @@ __all__ = [
 
 _BLOWUP_FACTOR = 100.0
 _DT_CAP = 0.01
+# evolve refuses longer runs up front; every default-horizon run on a grid
+# of at most 4096 points needs fewer than 360 000 steps
+_STEPS_CAP = 10 ** 6
+# Newton refinements of the orbital shift, each one exp over N/2 + 1 bins;
+# three or four reach the 1e-12 dx step tolerance from the grid optimum
+_NEWTON_ITERS = 8
 
 
 class BlowUpError(RuntimeError):
@@ -147,6 +157,11 @@ def _phi123(z: np.ndarray):
 
 @lru_cache(maxsize=32)
 def _etdrk4_coeffs(n: int, domain_length: float, params: MediumParams, dt: float):
+    """Per-(grid, medium, dt) factors of one ETDRK4 step.
+
+    Returns the nonlinear factor -i kappa gamma/2 and the weights e^z,
+    e^{z/2}, (dt/2) phi_1(z/2), f1, 2 f2 and f3 of Cox-Matthews with z = L dt.
+    """
     kap = _wavenumbers(n, domain_length)
     sym = 1j * (-params.cee * kap + params.alpha * kap ** 3 + params.beta * kap ** 5)
     z = sym * dt
@@ -158,38 +173,43 @@ def _etdrk4_coeffs(n: int, domain_length: float, params: MediumParams, dt: float
     f1 = dt * (p1 - 3.0 * p2 + 4.0 * p3)
     f2 = dt * (p2 - 2.0 * p3)
     f3 = dt * (4.0 * p3 - p2)
-    return kap, e_full, e_half, q, f1, f2, f3
+    return -0.5j * params.gamma * kap, e_full, e_half, q, f1, 2.0 * f2, f3
 
 
-def _nonlinear(uh: np.ndarray, kap: np.ndarray, gamma: float, n: int) -> np.ndarray:
+def _nonlinear(uh: np.ndarray, nl_factor: np.ndarray, n: int) -> np.ndarray:
     """-i kappa (gamma/2) (u^2)_hat with 3/2-rule padding (exact for quadratics)."""
     m = 3 * n // 2
-    padded = np.zeros(m // 2 + 1, dtype=complex)
-    padded[: n // 2 + 1] = uh
-    u_fine = np.fft.irfft(padded, m) * (m / n)
-    sq_hat = np.fft.rfft(u_fine * u_fine)[: n // 2 + 1] * (n / m)
-    return -0.5j * gamma * kap * sq_hat
+    # irfft zero-pads the n/2 + 1 bins of uh to the 3n/4 + 1 of the fine grid
+    u_fine = np.fft.irfft(uh, m)
+    u_fine *= m / n
+    u_fine *= u_fine
+    sq_hat = np.fft.rfft(u_fine)[: n // 2 + 1]
+    sq_hat *= n / m
+    # complex products keep the operand order: with FMA kernels they need
+    # not commute bit for bit
+    return np.multiply(nl_factor, sq_hat, out=sq_hat)
 
 
-def _step_spectrum(uh, coeffs, gamma, n):
-    kap, e_full, e_half, q, f1, f2, f3 = coeffs
-    nl_u = _nonlinear(uh, kap, gamma, n)
-    a = e_half * uh + q * nl_u
-    nl_a = _nonlinear(a, kap, gamma, n)
-    b = e_half * uh + q * nl_a
-    nl_b = _nonlinear(b, kap, gamma, n)
+def _step_spectrum(uh, coeffs, n):
+    nl_factor, e_full, e_half, q, f1, f2x2, f3 = coeffs
+    nl_u = _nonlinear(uh, nl_factor, n)
+    e_half_uh = e_half * uh
+    a = e_half_uh + q * nl_u
+    nl_a = _nonlinear(a, nl_factor, n)
+    b = e_half_uh + q * nl_a
+    nl_b = _nonlinear(b, nl_factor, n)
     c = e_half * a + q * (2.0 * nl_b - nl_u)
-    nl_c = _nonlinear(c, kap, gamma, n)
-    return e_full * uh + f1 * nl_u + 2.0 * f2 * (nl_a + nl_b) + f3 * nl_c
+    nl_c = _nonlinear(c, nl_factor, n)
+    return e_full * uh + f1 * nl_u + f2x2 * (nl_a + nl_b) + f3 * nl_c
 
 
 def step(state: SpectralState, dt: float) -> SpectralState:
     """Advance one ETDRK4 step; raises BlowUpError past 100x the initial peak."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    if not math.isfinite(dt) or dt <= 0.0:
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
     coeffs = _etdrk4_coeffs(state.grid_n, state.domain_length, state.params, dt)
     uh = np.fft.rfft(state.field)
-    uh = _step_spectrum(uh, coeffs, state.params.gamma, state.grid_n)
+    uh = _step_spectrum(uh, coeffs, state.grid_n)
     field = np.fft.irfft(uh, state.grid_n)
     _check_blowup(field, np.max(np.abs(state.field)), state.time + dt)
     return replace(state, field=field, time=state.time + dt)
@@ -217,26 +237,41 @@ def evolve(state: SpectralState, t_end: float, dt: float | None = None,
     the flow; the mean mode is untouched by construction, so mass is exact).
     Distances are shift-minimized H^1/H^2 distances to ``reference`` when
     one is given, else zero.  Returns (final_state, records); records always
-    include t = 0 and the final time.  A backward run (``t_end`` before the
-    state's time), ``dt <= 0`` and ``record_every < 1`` are rejected.
+    include t = 0 and the final time.  Rejected before the first step: a
+    non-finite ``t_end`` or ``dt``, a backward run (``t_end`` before the
+    state's time), ``dt <= 0``, ``record_every < 1`` and a run of more than
+    ``_STEPS_CAP`` steps.
     """
+    if not math.isfinite(t_end):
+        raise ValueError(f"t_end must be finite, got {t_end!r}")
     if t_end < state.time:
         raise ValueError(f"t_end = {t_end!r} lies before the state's time {state.time!r}")
     if dt is None:
         dt = default_dt(state)
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    if not math.isfinite(dt) or dt <= 0.0:
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
     if record_every < 1:
         raise ValueError(f"record_every must be at least 1, got {record_every!r}")
-    n_steps = max(1, int(math.ceil((t_end - state.time) / dt - 1e-12)))
+    steps = (t_end - state.time) / dt - 1e-12
+    if steps > _STEPS_CAP:
+        count = math.ceil(steps) if math.isfinite(steps) else steps
+        raise ValueError(f"reaching t_end = {t_end!r} with dt = {dt!r} takes {count} "
+                         f"steps, above the cap of {_STEPS_CAP}")
+    n_steps = max(1, int(math.ceil(steps)))
     dt = (t_end - state.time) / n_steps
-    coeffs = _etdrk4_coeffs(state.grid_n, state.domain_length, state.params, dt)
-    dx = state.domain_length / state.grid_n
+    n = state.grid_n
+    coeffs = _etdrk4_coeffs(n, state.domain_length, state.params, dt)
+    dx = state.domain_length / n
+    if reference is not None:
+        ref_hat = np.fft.rfft(reference) / n
 
     def record(field, t):
         if reference is not None:
-            d1, sh = orbital_distance(field, reference, state.domain_length, 1)
-            d2, _ = orbital_distance(field, reference, state.domain_length, 2)
+            u_hat = np.fft.rfft(field) / n
+            d1, sh = orbital_distance(field, reference, state.domain_length, 1,
+                                      u_hat=u_hat, ref_hat=ref_hat)
+            d2, _ = orbital_distance(field, reference, state.domain_length, 2,
+                                     u_hat=u_hat, ref_hat=ref_hat)
         else:
             d1 = d2 = sh = 0.0
         return DiagnosticsRecord(
@@ -251,33 +286,42 @@ def evolve(state: SpectralState, t_end: float, dt: float | None = None,
     records = [record(state.field, state.time)]
     uh = np.fft.rfft(state.field)
     peak0 = float(np.max(np.abs(state.field)))
-    t = state.time
     for i in range(n_steps):
-        uh = _step_spectrum(uh, coeffs, state.params.gamma, state.grid_n)
-        t = state.time + (i + 1) * dt
+        uh = _step_spectrum(uh, coeffs, n)
         if (i + 1) % record_every == 0 or i == n_steps - 1:
-            field = np.fft.irfft(uh, state.grid_n)
+            t = state.time + (i + 1) * dt
+            field = np.fft.irfft(uh, n)
             _check_blowup(field, peak0, t)
             records.append(record(field, t))
-    final = replace(state, field=np.fft.irfft(uh, state.grid_n), time=t)
-    return final, records
+    # the last step always records, so ``field`` is the final field
+    return replace(state, field=field, time=t), records
 
 
 # ---------------------------------------------------------------------------
 # norms, shifts and the orbital distance
 # ---------------------------------------------------------------------------
 
+def _sobolev_weights(n: int, domain_length: float, s: int):
+    """Wavenumbers of the rfft bins and the H^s weights wts (1 + kappa^2)^s.
+
+    wts is 2 on the interior bins, which stand for a +-kappa pair, and 1 on
+    the mean and Nyquist bins.
+    """
+    kap = _wavenumbers(n, domain_length)
+    wts = np.full(len(kap), 2.0)
+    wts[0] = 1.0
+    if n % 2 == 0:
+        wts[-1] = 1.0
+    return kap, wts * (1.0 + kap ** 2) ** s
+
+
 def sobolev_norm(u: np.ndarray, domain_length: float, s: int) -> float:
     """Discrete H^s norm, sum_kappa (1 + kappa^2)^s |u_hat|^2 with u_hat = FFT/N."""
     u = np.asarray(u, dtype=float)
     n = len(u)
-    kap = _wavenumbers(n, domain_length)
+    _, w = _sobolev_weights(n, domain_length, s)
     spec = np.fft.rfft(u) / n
-    weights = np.full(len(kap), 2.0)
-    weights[0] = 1.0
-    if n % 2 == 0:
-        weights[-1] = 1.0
-    return math.sqrt(float(np.sum(weights * (1.0 + kap ** 2) ** s * np.abs(spec) ** 2)))
+    return math.sqrt(float(np.sum(w * np.abs(spec) ** 2)))
 
 
 def spectral_shift(u: np.ndarray, y: float, domain_length: float) -> np.ndarray:
@@ -289,13 +333,21 @@ def spectral_shift(u: np.ndarray, y: float, domain_length: float) -> np.ndarray:
 
 
 def orbital_distance(u: np.ndarray, reference: np.ndarray, domain_length: float,
-                     s: int):
+                     s: int, *, u_hat: np.ndarray | None = None,
+                     ref_hat: np.ndarray | None = None):
     """min over y of ||u - reference(. + y)||_{H^s} and the minimizing y.
 
-    The correlation against all grid shifts comes from one inverse transform;
-    the winning cell is then refined by golden-section on the continuous
-    shift.  Warns when a second, well-separated local optimum lies within 1%
-    of the best one (the minimizer is then ambiguous).
+    The correlation against all grid shifts comes from one inverse transform.
+    The squared distance sum_kappa w |u_hat - r_hat e^{i kappa y}|^2 equals
+    const - 2 Re sum_kappa g e^{-i kappa y} with g = w u_hat conj(r_hat), a
+    trigonometric polynomial with closed-form derivatives; from the winning
+    grid shift j dx, y is refined by Newton's method, safeguarded by
+    bisection on the sign of the slope inside [(j - 1) dx, (j + 1) dx], in
+    at most eight evaluations.  Warns when a second, well-separated local
+    optimum lies within 1% of the best one (the minimizer is then
+    ambiguous).  ``u_hat`` and ``ref_hat``, when given, must be
+    ``rfft(u) / N`` and ``rfft(reference) / N``; they let a caller transform
+    a field once for several orders and a reference once for many fields.
     """
     u = np.asarray(u, dtype=float)
     reference = np.asarray(reference, dtype=float)
@@ -304,55 +356,51 @@ def orbital_distance(u: np.ndarray, reference: np.ndarray, domain_length: float,
     if s not in (0, 1, 2):
         raise ValueError("sobolev order must be 0, 1 or 2")
     n = len(u)
-    kap = _wavenumbers(n, domain_length)
-    uh = np.fft.rfft(u) / n
-    rh = np.fft.rfft(reference) / n
-    wts = np.full(len(kap), 2.0)
-    wts[0] = 1.0
-    if n % 2 == 0:
-        wts[-1] = 1.0
-    w = wts * (1.0 + kap ** 2) ** s
+    kap, w = _sobolev_weights(n, domain_length, s)
+    uh = np.fft.rfft(u) / n if u_hat is None else u_hat
+    rh = np.fft.rfft(reference) / n if ref_hat is None else ref_hat
     g = w * uh * np.conj(rh)
-    # C(y_j) for all grid shifts y_j = j dx in one FFT
-    padded = np.zeros(n, dtype=complex)
-    padded[: len(kap)] = g
-    corr = np.fft.fft(padded).real
-    const = float(np.sum(w * (np.abs(uh) ** 2 + np.abs(rh) ** 2)))
-
+    # C(y_j) for all grid shifts y_j = j dx in one zero-padded FFT
+    corr = np.fft.fft(g, n).real
     j_best = int(np.argmax(corr))
     _warn_if_ambiguous(corr, j_best)
 
-    def dist_sq(y):
-        return const - 2.0 * float(np.sum(g * np.exp(-1j * kap * y)).real)
-
+    # d/dy dist^2 = -2 Im sum(kappa g e^{-i kappa y}) and
+    # d^2/dy^2 dist^2 = 2 Re sum(kappa^2 g e^{-i kappa y})
+    kg = kap * g
+    derivative_rows = np.array([kg, kap * kg])
     dx = domain_length / n
-    lo, hi = (j_best - 1) * dx, (j_best + 1) * dx
-    inv_golden = (math.sqrt(5.0) - 1.0) / 2.0
-    c1 = hi - inv_golden * (hi - lo)
-    c2 = lo + inv_golden * (hi - lo)
-    f1, f2 = dist_sq(c1), dist_sq(c2)
-    while hi - lo > 1e-12 * dx:
-        if f1 < f2:
-            hi, c2, f2 = c2, c1, f1
-            c1 = hi - inv_golden * (hi - lo)
-            f1 = dist_sq(c1)
+    y = j_best * dx
+    lo, hi = y - dx, y + dx
+    for it in range(_NEWTON_ITERS):
+        phase = np.exp(-1j * kap * y)
+        first, second = derivative_rows @ phase
+        slope, curvature = -2.0 * float(first.imag), 2.0 * float(second.real)
+        step = -slope / curvature if curvature > 0.0 else math.inf
+        if abs(step) < 1e-12 * dx or it == _NEWTON_ITERS - 1:
+            break
+        if slope > 0.0:
+            hi = y
         else:
-            lo, c1, f1 = c1, c2, f2
-            c2 = lo + inv_golden * (hi - lo)
-            f2 = dist_sq(c2)
-    y = 0.5 * (lo + hi)
+            lo = y
+        y = y + step if lo < y + step < hi else 0.5 * (lo + hi)
+    # summed term by term: const - 2 Re sum(g phase) would cancel down to
+    # rounding noise of order 1e-8 ||u|| near the orbit
+    dist_sq = float(np.sum(w * np.abs(uh - rh * np.conj(phase)) ** 2))
     # canonical representative in (-L/2, L/2]
     y_wrapped = y - domain_length * round(y / domain_length)
-    return math.sqrt(max(dist_sq(y), 0.0)), y_wrapped
+    return math.sqrt(dist_sq), y_wrapped
 
 
 def _warn_if_ambiguous(corr: np.ndarray, j_best: int):
+    """Warn when a local maximum of ``corr`` more than n/64 (at least 2)
+    cells from ``j_best`` comes within 1% of the best value's span."""
     n = len(corr)
     guard = max(2, n // 64)
-    is_peak = (corr >= np.roll(corr, 1)) & (corr >= np.roll(corr, -1))
-    away = np.minimum(np.abs(np.arange(n) - j_best),
-                      n - np.abs(np.arange(n) - j_best)) > guard
-    others = corr[is_peak & away]
+    wrapped = np.concatenate((corr[-1:], corr, corr[:1]))
+    is_peak = (corr >= wrapped[:-2]) & (corr >= wrapped[2:])
+    is_peak[np.arange(j_best - guard, j_best + guard + 1) % n] = False
+    others = corr[is_peak]
     if len(others) == 0:
         return
     best = corr[j_best]
@@ -463,15 +511,11 @@ def stability_experiment(profile: WaveProfile, perturbation: Perturbation | None
     state, reference = state_from_profile(profile, grid_n=grid_n)
     if horizon is None:
         horizon = 10.0 * characteristic_time(profile)
-    u0 = state.field
     if perturbation is not None:
-        u0 = apply_perturbation(u0, perturbation, state.domain_length,
-                                profile.amplitude)
-        state = replace(state, field=u0)
+        state = replace(state, field=apply_perturbation(
+            state.field, perturbation, state.domain_length, profile.amplitude))
     if dt is None:
         dt = default_dt(state)
-    d1_0, _ = orbital_distance(u0, reference, state.domain_length, 1)
-    d2_0, _ = orbital_distance(u0, reference, state.domain_length, 2)
     final, records = evolve(state, horizon, dt=dt, record_every=record_every,
                             reference=reference)
     return ExperimentReport(
@@ -479,8 +523,8 @@ def stability_experiment(profile: WaveProfile, perturbation: Perturbation | None
         perturbation=perturbation,
         horizon=horizon,
         records=records,
-        initial_dist_h1=d1_0,
-        initial_dist_h2=d2_0,
+        initial_dist_h1=records[0].dist_h1,
+        initial_dist_h2=records[0].dist_h2,
         max_dist_h1=max(r.dist_h1 for r in records),
         max_dist_h2=max(r.dist_h2 for r in records),
         final_state=final,

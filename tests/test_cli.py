@@ -202,6 +202,22 @@ class TestValidation:
                     "--out", str(tmp_path / "s")]) == 2
         assert "record_every" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--horizon", "inf", "t_end must be finite, got inf"),
+        ("--horizon", "nan", "t_end must be finite, got nan"),
+        ("--dt", "nan", "dt must be positive and finite, got nan"),
+        ("--dt", "inf", "dt must be positive and finite, got inf"),
+        ("--dt", "1e-9", "20000000000 steps, above the cap of 1000000"),
+    ])
+    def test_time_inputs_bounded(self, flag, value, message, tmp_path, monkeypatch, capsys):
+        def unreachable_step(*args):
+            raise AssertionError("validation should have stopped the run")
+
+        monkeypatch.setattr(pde, "_step_spectrum", unreachable_step)
+        assert run(["simulate", "--family", "kdv-soliton", "--gridN", "256", flag, value,
+                    "--out", str(tmp_path / "s")]) == 2
+        assert message in capsys.readouterr().err
+
     def test_nmax_cap_admits_its_bound(self, tmp_path, capsys):
         assert run(["verify", "--family", "kdv-cnoidal", "--nmax", "64",
                     "--out", str(tmp_path / "v")]) == 0

@@ -169,7 +169,8 @@ class TestEllipticContext:
         # one AGM for K and E at k, one for K' at k'
         runs = []
         agm = elliptic._agm_sequence
-        monkeypatch.setattr(elliptic, "_agm_sequence", lambda q: runs.append(q) or agm(q))
+        monkeypatch.setattr(elliptic, "_agm_sequence",
+                            lambda q, *b0: runs.append(q) or agm(q, *b0))
         ctx = EllipticContext.from_modulus(k)
         assert runs == [k, ctx.kprime]
 
@@ -182,6 +183,16 @@ class TestEllipticContext:
         ctx = EllipticContext.from_modulus(0.0)
         assert ctx.q == 0.0
         assert math.isinf(ctx.Kprime)
+
+    @pytest.mark.parametrize("k", [1e-2, 1e-4, 1e-6, 1e-9])
+    def test_small_modulus_kprime_against_mpmath(self, k):
+        # k' = sqrt(1 - k^2) keeps no digit of a small k; below k ~ 1e-8 it
+        # rounds to 1, which a K' computed from k' alone cannot survive
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            exact = mpmath.ellipk(1 - mpmath.mpf(k) ** 2)
+            rel = abs((EllipticContext.from_modulus(k).Kprime - exact) / exact)
+        assert rel < 1e-14
 
 
 @pytest.mark.parametrize("k", [0.1, 0.5, 0.9])

@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from fkdv import pde
 from fkdv.pde import (
     BlowUpError,
     Perturbation,
@@ -25,12 +27,115 @@ from fkdv.waves import (
     build_fifth_order_soliton,
     build_kdv_cnoidal,
     build_kdv_soliton,
+    build_profile,
 )
 
 
 def soliton_state(grid_n=1024):
     prof = build_fifth_order_soliton(1.0, 1.0, 1.0)
     return state_from_profile(prof, grid_n=grid_n)
+
+
+def unreachable_step(*args):
+    raise AssertionError("validation should have stopped the run")
+
+
+# ---------------------------------------------------------------------------
+# References: the ETDRK4 stage kernel with a fresh array for every product,
+# and the golden-section shift refinement.  The solver must reproduce the
+# kernel bit for bit; the Newton refinement must agree with golden section
+# to golden section's own resolution.
+# ---------------------------------------------------------------------------
+
+def reference_coeffs(n, domain_length, params, dt):
+    kap = pde._wavenumbers(n, domain_length)
+    sym = 1j * (-params.cee * kap + params.alpha * kap ** 3 + params.beta * kap ** 5)
+    z = sym * dt
+    e_full = np.exp(z)
+    e_half = np.exp(0.5 * z)
+    p1h, _, _ = pde._phi123(0.5 * z)
+    q = 0.5 * dt * p1h
+    p1, p2, p3 = pde._phi123(z)
+    f1 = dt * (p1 - 3.0 * p2 + 4.0 * p3)
+    f2 = dt * (p2 - 2.0 * p3)
+    f3 = dt * (4.0 * p3 - p2)
+    return kap, e_full, e_half, q, f1, f2, f3
+
+
+def reference_nonlinear(uh, kap, gamma, n):
+    m = 3 * n // 2
+    padded = np.zeros(m // 2 + 1, dtype=complex)
+    padded[: n // 2 + 1] = uh
+    u_fine = np.fft.irfft(padded, m) * (m / n)
+    sq_hat = np.fft.rfft(u_fine * u_fine)[: n // 2 + 1] * (n / m)
+    return -0.5j * gamma * kap * sq_hat
+
+
+def reference_step_spectrum(uh, coeffs, gamma, n):
+    kap, e_full, e_half, q, f1, f2, f3 = coeffs
+    nl_u = reference_nonlinear(uh, kap, gamma, n)
+    a = e_half * uh + q * nl_u
+    nl_a = reference_nonlinear(a, kap, gamma, n)
+    b = e_half * uh + q * nl_a
+    nl_b = reference_nonlinear(b, kap, gamma, n)
+    c = e_half * a + q * (2.0 * nl_b - nl_u)
+    nl_c = reference_nonlinear(c, kap, gamma, n)
+    return e_full * uh + f1 * nl_u + 2.0 * f2 * (nl_a + nl_b) + f3 * nl_c
+
+
+def reference_final_field(state, t_end, dt):
+    n_steps = max(1, int(math.ceil((t_end - state.time) / dt - 1e-12)))
+    dt = (t_end - state.time) / n_steps
+    coeffs = reference_coeffs(state.grid_n, state.domain_length, state.params, dt)
+    uh = np.fft.rfft(state.field)
+    for _ in range(n_steps):
+        uh = reference_step_spectrum(uh, coeffs, state.params.gamma, state.grid_n)
+    return np.fft.irfft(uh, state.grid_n)
+
+
+def orbital_distance_golden(u, reference, domain_length, s):
+    n = len(u)
+    kap = pde._wavenumbers(n, domain_length)
+    uh = np.fft.rfft(u) / n
+    rh = np.fft.rfft(reference) / n
+    wts = np.full(len(kap), 2.0)
+    wts[0] = 1.0
+    if n % 2 == 0:
+        wts[-1] = 1.0
+    w = wts * (1.0 + kap ** 2) ** s
+    g = w * uh * np.conj(rh)
+    padded = np.zeros(n, dtype=complex)
+    padded[: len(kap)] = g
+    corr = np.fft.fft(padded).real
+    const = float(np.sum(w * (np.abs(uh) ** 2 + np.abs(rh) ** 2)))
+    j_best = int(np.argmax(corr))
+
+    def dist_sq(y):
+        return const - 2.0 * float(np.sum(g * np.exp(-1j * kap * y)).real)
+
+    dx = domain_length / n
+    lo, hi = (j_best - 1) * dx, (j_best + 1) * dx
+    inv_golden = (math.sqrt(5.0) - 1.0) / 2.0
+    c1 = hi - inv_golden * (hi - lo)
+    c2 = lo + inv_golden * (hi - lo)
+    f1, f2 = dist_sq(c1), dist_sq(c2)
+    while hi - lo > 1e-12 * dx:
+        if f1 < f2:
+            hi, c2, f2 = c2, c1, f1
+            c1 = hi - inv_golden * (hi - lo)
+            f1 = dist_sq(c1)
+        else:
+            lo, c1, f1 = c1, c2, f2
+            c2 = lo + inv_golden * (hi - lo)
+            f2 = dist_sq(c2)
+    y = 0.5 * (lo + hi)
+    y_wrapped = y - domain_length * round(y / domain_length)
+    return math.sqrt(max(dist_sq(y), 0.0)), y_wrapped
+
+
+def periodic_gap(a, b, box):
+    """|a - b| on the circle of circumference ``box``."""
+    return abs((a - b + box / 2) % box - box / 2)
 
 
 class TestStateValidation:
@@ -329,3 +434,105 @@ class TestExperiments:
         state, _ = state_from_profile(prof, grid_n=512)
         dx = state.domain_length / 512
         assert default_dt(state) == pytest.approx(min(0.5 * dx / 3.0, 0.01), rel=1e-12)
+
+    def test_initial_distances_are_the_first_record(self):
+        prof = build_kdv_soliton(1.0, 1.0, 1.0)
+        report = stability_experiment(prof, Perturbation("cosine", 0.01, mode=2),
+                                      horizon=0.1, grid_n=256, dt=0.01)
+        state, ref = state_from_profile(prof, grid_n=256)
+        u0 = apply_perturbation(state.field, Perturbation("cosine", 0.01, mode=2),
+                                state.domain_length, prof.amplitude)
+        assert report.initial_dist_h1 == orbital_distance(u0, ref, state.domain_length, 1)[0]
+        assert report.initial_dist_h2 == orbital_distance(u0, ref, state.domain_length, 2)[0]
+
+
+class TestTimeInputs:
+    @pytest.fixture
+    def state(self, monkeypatch):
+        monkeypatch.setattr(pde, "_step_spectrum", unreachable_step)
+        return state_from_profile(build_kdv_soliton(1.0, 1.0, 1.0), grid_n=256)[0]
+
+    @pytest.mark.parametrize("t_end", [math.inf, -math.inf, math.nan])
+    def test_non_finite_t_end_rejected(self, state, t_end):
+        with pytest.raises(ValueError, match=f"t_end must be finite, got {t_end!r}"):
+            evolve(state, t_end, dt=0.01)
+
+    @pytest.mark.parametrize("dt", [math.inf, math.nan])
+    def test_non_finite_dt_rejected(self, state, dt):
+        with pytest.raises(ValueError, match=f"dt must be positive and finite, got {dt!r}"):
+            evolve(state, 1.0, dt=dt)
+        with pytest.raises(ValueError, match=f"dt must be positive and finite, got {dt!r}"):
+            step(state, dt)
+
+    def test_step_count_cap(self, state):
+        with pytest.raises(ValueError, match="20000000000 steps, above the cap of 1000000"):
+            evolve(state, 20.0, dt=1e-9)
+
+    def test_step_count_cap_admits_its_bound(self, state, monkeypatch):
+        monkeypatch.setattr(pde, "_step_spectrum", lambda uh, coeffs, n: uh)
+        final, records = evolve(state, 0.5 * pde._STEPS_CAP, dt=0.5, record_every=10 ** 9)
+        assert final.time == 0.5 * pde._STEPS_CAP and len(records) == 2
+
+
+class TestReferenceKernel:
+    @pytest.mark.parametrize("family, grid_n, cee", [
+        ("fifth-soliton", 256, 0.0),
+        ("kdv-cnoidal", 512, 0.5),   # beta = 0 and C != 0
+        ("fifth-cnoidal", 512, 0.0),
+        ("kdv-soliton", 1024, 0.0),  # beta = 0
+    ])
+    def test_evolve_matches_reference_bitwise(self, family, grid_n, cee):
+        prof = build_profile(family, 1.0, 1.0, 1.0, 1.0, 1.0)
+        state, _ = state_from_profile(prof, grid_n=grid_n)
+        field = apply_perturbation(state.field, Perturbation("noise", 0.01, seed=3),
+                                   state.domain_length, prof.amplitude)
+        state = replace(state, field=field, params=replace(state.params, cee=cee))
+        dt = default_dt(state)
+        final, _ = evolve(state, 40.5 * dt, dt=dt, record_every=7)
+        assert np.array_equal(final.field, reference_final_field(state, 40.5 * dt, dt))
+
+    def test_step_matches_reference_bitwise(self):
+        state, _ = soliton_state(grid_n=512)
+        assert np.array_equal(step(state, 0.01).field,
+                              reference_final_field(state, 0.01, 0.01))
+
+
+class TestNewtonShift:
+    @pytest.mark.parametrize("family", ["fifth-soliton", "kdv-cnoidal"])
+    @pytest.mark.parametrize("s", [0, 1, 2])
+    def test_agrees_with_golden_section(self, family, s):
+        prof = build_profile(family, 1.0, 1.0, 1.0, 1.0, 1.0)
+        state, ref = state_from_profile(prof, grid_n=512)
+        box = state.domain_length
+        dx = box / state.grid_n
+        rng = np.random.default_rng(11)
+        for pert in (Perturbation("scale", 0.01), Perturbation("cosine", 0.01, mode=3),
+                     Perturbation("noise", 0.01, seed=5)):
+            field = spectral_shift(apply_perturbation(ref, pert, box, prof.amplitude),
+                                   rng.uniform(-0.5, 0.5) * box, box)
+            dist, shift = orbital_distance(field, ref, box, s)
+            dist_golden, shift_golden = orbital_distance_golden(field, ref, box, s)
+            assert dist == pytest.approx(dist_golden, rel=1e-9)
+            assert periodic_gap(shift, shift_golden, box) < 1e-5 * dx
+
+    def test_recovers_exact_shifts(self):
+        # golden section stops at about 2e-7 dx here, where dist^2 gets flat
+        state, ref = soliton_state(grid_n=512)
+        box = state.domain_length
+        dx = box / state.grid_n
+        for y in np.random.default_rng(5).uniform(-0.5, 0.5, 50) * box:
+            _, shift = orbital_distance(spectral_shift(ref, y, box), ref, box, 2)
+            assert periodic_gap(shift, y, box) < 1e-10 * dx
+
+    def test_evolve_warns_once_per_record_and_order(self):
+        n, box = 256, 10.0
+        x = -box / 2 + np.arange(n) * (box / n)
+        u = np.cos(4.0 * math.pi * x / box)
+        state = SpectralState(grid_n=n, domain_length=box, field=u, time=0.0,
+                              params=MediumParams(1.0, 1.0, 0.0, 1.0))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            _, records = evolve(state, 0.1, dt=0.01, record_every=4, reference=u)
+        assert len(records) == 4
+        assert len(caught) == 8
+        assert all("near-degenerate" in str(w.message) for w in caught)
