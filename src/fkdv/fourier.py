@@ -69,7 +69,6 @@ class CoeffSequence:
     """
 
     values: np.ndarray
-    half_period: float
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
@@ -88,10 +87,6 @@ class CoeffSequence:
         """Array of coeff(n) for n = -n_max .. n_max."""
         return np.concatenate([self.values[:0:-1], self.values])
 
-    def ell2_norm_sq(self) -> float:
-        """Two-sided sequence norm sum_{n in Z} coeff(n)^2 = (1/2L) int u^2."""
-        return float(self.values[0] ** 2 + 2.0 * np.sum(self.values[1:] ** 2))
-
 
 def cn2_coeffs(cn: CnoidalParams, n_max: int) -> CoeffSequence:
     """Analytic coefficients of the cn^2 cnoidal profile."""
@@ -108,7 +103,7 @@ def cn2_coeffs(cn: CnoidalParams, n_max: int) -> CoeffSequence:
         if x > CSCH_OVERFLOW:
             break
         vals[n] = pref * n * _csch(x)
-    return CoeffSequence(values=vals, half_period=L)
+    return CoeffSequence(values=vals)
 
 
 def cn4_coeffs_halfmodulus(profile: WaveProfile, n_max: int) -> CoeffSequence:
@@ -127,7 +122,7 @@ def cn4_coeffs_halfmodulus(profile: WaveProfile, n_max: int) -> CoeffSequence:
         if x > CSCH_OVERFLOW:
             break
         vals[n] = pref * n ** 3 * _csch(x)
-    return CoeffSequence(values=vals, half_period=profile.cnoidal.half_period)
+    return CoeffSequence(values=vals)
 
 
 def analytic_coeffs(profile: WaveProfile, n_max: int) -> CoeffSequence:
@@ -139,7 +134,7 @@ def analytic_coeffs(profile: WaveProfile, n_max: int) -> CoeffSequence:
     raise ValueError(f"no analytic coefficients for the {profile.family!r} family")
 
 
-def dft_cosine_coeffs(u: np.ndarray, half_period: float, n_max: int) -> CoeffSequence:
+def dft_cosine_coeffs(u: np.ndarray, n_max: int) -> CoeffSequence:
     """Cosine coefficients of samples on the grid xi_j = -L + j (2L/N).
 
     This is the numerical oracle for the analytic formulas; it conforms to
@@ -164,14 +159,14 @@ def dft_cosine_coeffs(u: np.ndarray, half_period: float, n_max: int) -> CoeffSeq
             "leading coefficient; increase the sample count",
             AliasingWarning,
         )
-    return CoeffSequence(values=vals, half_period=half_period)
+    return CoeffSequence(values=vals)
 
 
 def dft_coeffs(profile: WaveProfile, n_max: int) -> CoeffSequence:
     """Discrete-transform coefficients of a periodic profile's samples."""
     if not profile.periodic:
         raise ValueError("dft_coeffs needs a periodic profile")
-    return dft_cosine_coeffs(profile.u, profile.cnoidal.half_period, n_max)
+    return dft_cosine_coeffs(profile.u, n_max)
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +211,11 @@ def pf2_check(seq, window: int = 12, tol_factor: float = 1e-14) -> Pf2Report:
 
     A minor depends on its quadruple only through p = n1 - m1, dn = n2 - n1
     and dm = m2 - m1, as a(p)a(p+dn-dm) - a(p-dm)a(p+dn), so each class
-    (p, dn, dm) is evaluated once: a loop over dm, with the (p, dn) plane in
-    numpy, takes O(window^3) time and O(window^2) memory.  A class stands
+    (p, dn, dm) is evaluated once, as prod(dn-dm, p) - prod(dn+dm, p-dm)
+    from one table prod(e, i) = a(i)a(i+e) that is NaN where an index leaves
+    the stored range.  For each dm the (dn, p) plane is the difference of two
+    row slices, and its NaN-skipping minimum (``np.fmin``) is the least
+    checked minor: O(window^3) time, O(window^2) memory.  A class stands
     for the quadruples with n1 in [max(-w, p-w), min(w-dn, p+w-dm)], w the
     window; ``failures`` counts those quadruples.  ``min_location`` is the
     lexicographically first (n1, n2, m1, m2) among all quadruples tied at the
@@ -241,40 +239,41 @@ def pf2_check(seq, window: int = 12, tol_factor: float = 1e-14) -> Pf2Report:
     # a(k) sits at a[off + k], NaN beyond min(reach, 2w).  The differences
     # of a quadruple lie in [-2w, 2w], and a class stands for no quadruple
     # exactly when it reads a(p - dm) or a(p + dn) beyond 2w, so the finite
-    # minors are the checked ones.  Row slices of hankel[s, j] = a[s + j] are
-    # the (p, dn) planes, p = -2w..2w down the rows and dn = 1..2w across.
+    # minors are the checked ones.  prod[e + 2w - 1, i + 2w] = a(i) a(i + e)
+    # for i in [-2w, 2w] and e in [1 - 2w, 4w].
     span = 2 * w
     off = 2 * span
-    a = np.full(2 * off + 1, np.nan)
+    a = np.full(5 * span + 1, np.nan)
     r = min(reach, span)
     a[off - r:off + r + 1] = values[reach - r:reach + r + 1]
-    hankel = a[np.arange(3 * span + 2)[:, None] + np.arange(span)]
-    a_p = a[span:3 * span + 1, None]
-    a_p_dn = hankel[span + 1:3 * span + 2]
-    p = np.arange(-span, span + 1)[:, None]
-    dn = np.arange(1, span + 1)[None, :]
+    i = np.arange(off - span, off + span + 1)
+    prod = a[i] * a[i + np.arange(1 - span, 2 * span + 1)[:, None]]
+    dn = np.arange(1, span + 1)[:, None]
+    p = np.arange(-span, span + 1)
     lo = np.maximum(-w, p - w)
 
     min_minor, location = math.inf, (-w, -w, -w, -w)
     failures = 0
     for dm in range(1, span + 1):
-        minor = a_p * hankel[span + 1 - dm:3 * span + 2 - dm]
-        minor -= a[span - dm:3 * span + 1 - dm, None] * a_p_dn
-        minor = np.where(np.isfinite(minor), minor, np.inf)
-        least = float(minor.min())
+        # dn = 1..2w down, p = dm - 2w..2w across; a smaller p reads
+        # a(p - dm) below -2w, so its minors would all be NaN
+        minor = (prod[span - dm:2 * span - dm, dm:]
+                 - prod[span + dm:2 * span + dm, :2 * span + 1 - dm])
+        least = float(np.fmin.reduce(minor, axis=None))
+        p_dm, lo_dm = p[dm:], lo[dm:]
         if least < -tol:
-            count = np.minimum(w - dn, p + w - dm) - lo + 1
+            count = np.minimum(w - dn, p_dm + w - dm) - lo_dm + 1
             failures += int(np.sum(count[minor < -tol]))
-        if least == math.inf or least > min_minor:
+        if math.isnan(least) or least > min_minor:
             continue
-        ip, idn = np.nonzero(minor == least)
-        n1 = lo[ip, 0]
-        n2 = n1 + dn[0, idn]
-        m1 = n1 - p[ip, 0]
+        idn, ip = np.nonzero(minor == least)
+        n1 = lo_dm[ip]
+        n2 = n1 + dn[idn, 0]
+        m1 = n1 - p_dm[ip]
         first = np.lexsort((m1, n2, n1))[0]
         candidate = (int(n1[first]), int(n2[first]), int(m1[first]), int(m1[first]) + dm)
         if least < min_minor or candidate < location:
-            min_minor = float(minor[ip[first], idn[first]])
+            min_minor = float(minor[idn[first], ip[first]])
             location = candidate
 
     # log-concavity across the stored range

@@ -237,7 +237,9 @@ def evolve(state: SpectralState, t_end: float, dt: float | None = None,
     the flow; the mean mode is untouched by construction, so mass is exact).
     Distances are shift-minimized H^1/H^2 distances to ``reference`` when
     one is given, else zero.  Returns (final_state, records); records always
-    include t = 0 and the final time.  Rejected before the first step: a
+    include t = 0 and the final time.  A run of zero length (``t_end`` equal
+    to the state's time) takes no step and returns the state with one
+    record.  Rejected before the first step: a
     non-finite ``t_end`` or ``dt``, a backward run (``t_end`` before the
     state's time), ``dt <= 0``, ``record_every < 1`` and a run of more than
     ``_STEPS_CAP`` steps.
@@ -260,7 +262,6 @@ def evolve(state: SpectralState, t_end: float, dt: float | None = None,
     n_steps = max(1, int(math.ceil(steps)))
     dt = (t_end - state.time) / n_steps
     n = state.grid_n
-    coeffs = _etdrk4_coeffs(n, state.domain_length, state.params, dt)
     dx = state.domain_length / n
     if reference is not None:
         ref_hat = np.fft.rfft(reference) / n
@@ -284,6 +285,9 @@ def evolve(state: SpectralState, t_end: float, dt: float | None = None,
         )
 
     records = [record(state.field, state.time)]
+    if t_end == state.time:
+        return state, records
+    coeffs = _etdrk4_coeffs(n, state.domain_length, state.params, dt)
     uh = np.fft.rfft(state.field)
     peak0 = float(np.max(np.abs(state.field)))
     for i in range(n_steps):

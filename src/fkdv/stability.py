@@ -375,6 +375,9 @@ def cn2_norm_derivative(gamma: float, alpha: float, c: float, flux_a: float,
     """
     if mode not in ("fixed-flux", "fixed-period"):
         raise ValueError(f"unknown mode {mode!r}")
+    if c == 0.0:
+        raise ValueError(f"the {KDV_CNOIDAL} norm derivative needs c != 0: "
+                         "its Richardson steps are relative to |c|")
     cn, ctx = cn2_params(gamma, alpha, c, flux_a)
     L0 = cn.half_period
 

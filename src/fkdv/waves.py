@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -216,6 +217,7 @@ def build_kdv_soliton(gamma: float, alpha: float, c: float,
     )
 
 
+@lru_cache(maxsize=256, typed=True)
 def cn2_params(gamma: float, alpha: float, c: float,
                flux_a: float) -> tuple[CnoidalParams, EllipticContext]:
     """Discriminant, amplitude, modulus, wavelength and M(c) of a cn^2 wave.
@@ -223,7 +225,8 @@ def cn2_params(gamma: float, alpha: float, c: float,
     A real cn^2 wave needs flux_a*gamma > 0: for flux_a*gamma < 0 the
     modulus exceeds 1 (or the amplitude has the wrong sign), and the
     flux_a -> 0 limit drives the modulus to 1, which is rejected as
-    degenerate.  Also returns the elliptic context of the modulus.
+    degenerate.  Also returns the elliptic context of the modulus.  Cached
+    (Richardson derivatives revisit members); both values are immutable.
     """
     if gamma == 0.0:
         raise ValueError("gamma must be nonzero")

@@ -98,6 +98,13 @@ class TestStabilityCommand:
         lines = (tmp_path / "s_stability.csv").read_text().splitlines()
         assert len(lines) == 3  # header + two speeds
 
+    def test_cnoidal_zero_speed_is_a_usage_error(self, tmp_path, capsys):
+        code = run(["stability", "--family", "kdv-cnoidal", "--c-grid", "0",
+                    "--out", str(tmp_path / "s")])
+        assert code == 2
+        assert "needs c != 0" in capsys.readouterr().err
+        assert not (tmp_path / "s_stability.csv").exists()
+
     def test_inconclusive_reported_distinctly(self, tmp_path, capsys):
         code = run(["stability", "--family", "fifth-soliton", "--jmax", "1",
                     "--out", str(tmp_path / "s")])

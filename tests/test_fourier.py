@@ -28,6 +28,11 @@ def make_grid(half_period, n):
     return -half_period + np.arange(n) * (2.0 * half_period / n)
 
 
+def ell2_norm_sq(seq):
+    """Two-sided sequence norm sum_{n in Z} coeff(n)^2 = (1/2L) int u^2."""
+    return float(seq.values[0] ** 2 + 2.0 * np.sum(seq.values[1:] ** 2))
+
+
 class TestCn2Coeffs:
     def test_mean_coefficient_definition(self):
         prof = build_kdv_cnoidal(1.0, 1.0, 1.0, 1.0)
@@ -105,7 +110,7 @@ class TestCn4Coeffs:
 class TestDftCoeffs:
     def test_constant_profile(self):
         u = np.full(256, 2.5)
-        seq = dft_cosine_coeffs(u, 3.0, 8)
+        seq = dft_cosine_coeffs(u, 8)
         assert seq[0] == pytest.approx(2.5, rel=1e-14)
         assert np.max(np.abs(seq.values[1:])) < 1e-13
 
@@ -114,20 +119,20 @@ class TestDftCoeffs:
         L = 2.0
         xi = make_grid(L, 512)
         u = 0.7 * np.cos(math.pi * xi / L)
-        seq = dft_cosine_coeffs(u, L, 10)
+        seq = dft_cosine_coeffs(u, 10)
         assert seq[1] == pytest.approx(0.35, rel=1e-13)
         others = [seq[n] for n in range(11) if n != 1]
         assert max(abs(v) for v in others) < 1e-13
 
     def test_symmetry_is_structural(self):
         u = np.full(128, 1.0)
-        seq = dft_cosine_coeffs(u, 1.0, 4)
+        seq = dft_cosine_coeffs(u, 4)
         for n in range(5):
             assert seq[-n] == seq[n]
 
     def test_sample_count_precondition(self):
         with pytest.raises(ValueError):
-            dft_cosine_coeffs(np.zeros(64), 1.0, 16)
+            dft_cosine_coeffs(np.zeros(64), 16)
 
     def test_requires_periodic_profile(self):
         prof = build_kdv_soliton(1.0, 1.0, 1.0)
@@ -140,7 +145,7 @@ class TestDftCoeffs:
         xi = make_grid(L, 128)
         u = np.abs(xi)
         with pytest.warns(AliasingWarning):
-            dft_cosine_coeffs(u, L, 8)
+            dft_cosine_coeffs(u, 8)
 
 
 class TestParseval:
@@ -150,11 +155,11 @@ class TestParseval:
         prof = build_kdv_cnoidal(1.0, 1.0, c, flux, n_samples=4096)
         seq = cn2_coeffs(prof.cnoidal, 60)
         mean_sq = float(np.mean(prof.u ** 2))
-        assert seq.ell2_norm_sq() == pytest.approx(mean_sq, rel=1e-8)
+        assert ell2_norm_sq(seq) == pytest.approx(mean_sq, rel=1e-8)
 
     def test_ell2_norm_convention(self):
-        seq = CoeffSequence(values=np.array([2.0, 1.0, 0.5]), half_period=1.0)
-        assert seq.ell2_norm_sq() == pytest.approx(4.0 + 2.0 * (1.0 + 0.25), rel=1e-15)
+        seq = CoeffSequence(values=np.array([2.0, 1.0, 0.5]))
+        assert ell2_norm_sq(seq) == pytest.approx(4.0 + 2.0 * (1.0 + 0.25), rel=1e-15)
 
 
 def pf2_check_bruteforce(seq, window=12, tol_factor=1e-14):
@@ -190,6 +195,86 @@ def pf2_check_bruteforce(seq, window=12, tol_factor=1e-14):
         tolerance=tol,
         failures=int(np.sum(masked < -tol)),
     )
+
+
+def pf2_check_classes(seq, window=12, tol_factor=1e-14):
+    """Reference PF(2) check over minor classes (p, dn, dm), one Hankel table.
+
+    Each dm multiplies two views of hankel[s, j] = a(s + j - 4w) into a
+    (p, dn) plane; minors that read beyond the stored range are NaN and count
+    as +inf.  Same report as ``pf2_check`` at windows where brute force is
+    too large.
+    """
+    values = seq.two_sided() if isinstance(seq, CoeffSequence) else np.asarray(seq, dtype=float)
+    reach = len(values) // 2
+    w = window
+    scale = float(np.max(values) ** 2)
+    tol = tol_factor * scale
+    span = 2 * w
+    off = 2 * span
+    a = np.full(2 * off + 1, np.nan)
+    r = min(reach, span)
+    a[off - r:off + r + 1] = values[reach - r:reach + r + 1]
+    hankel = a[np.arange(3 * span + 2)[:, None] + np.arange(span)]
+    a_p = a[span:3 * span + 1, None]
+    a_p_dn = hankel[span + 1:3 * span + 2]
+    p = np.arange(-span, span + 1)[:, None]
+    dn = np.arange(1, span + 1)[None, :]
+    lo = np.maximum(-w, p - w)
+
+    min_minor, location = math.inf, (-w, -w, -w, -w)
+    failures = 0
+    for dm in range(1, span + 1):
+        minor = a_p * hankel[span + 1 - dm:3 * span + 2 - dm]
+        minor -= a[span - dm:3 * span + 1 - dm, None] * a_p_dn
+        minor = np.where(np.isfinite(minor), minor, np.inf)
+        least = float(minor.min())
+        if least < -tol:
+            count = np.minimum(w - dn, p + w - dm) - lo + 1
+            failures += int(np.sum(count[minor < -tol]))
+        if least == math.inf or least > min_minor:
+            continue
+        ip, idn = np.nonzero(minor == least)
+        n1 = lo[ip, 0]
+        n2 = n1 + dn[0, idn]
+        m1 = n1 - p[ip, 0]
+        first = np.lexsort((m1, n2, n1))[0]
+        candidate = (int(n1[first]), int(n2[first]), int(m1[first]), int(m1[first]) + dm)
+        if least < min_minor or candidate < location:
+            min_minor = float(minor[ip[first], idn[first]])
+            location = candidate
+
+    lc = values[1:-1] ** 2 - values[:-2] * values[2:]
+    min_lc = float(np.min(lc)) if len(lc) else 0.0
+    lc_ok = min_lc >= -tol
+    return Pf2Report(
+        passed=(min_minor >= -tol) and lc_ok,
+        window=window,
+        min_minor=min_minor,
+        min_location=location,
+        scale=scale,
+        log_concavity_ok=lc_ok,
+        min_log_concavity=min_lc,
+        tolerance=tol,
+        failures=failures,
+    )
+
+
+def pooled_sequence(rng, reach):
+    """Nonnegative two-sided sequence drawn mostly from a small pool (ties, zeros)."""
+    pool = rng.uniform(0.0, 10.0, size=int(rng.integers(1, 5)))
+    pool[rng.random(len(pool)) < 0.3] = 0.0
+    values = np.where(rng.random(2 * reach + 1) < 0.6, rng.choice(pool, 2 * reach + 1),
+                      rng.uniform(0.0, 10.0, 2 * reach + 1))
+    values[reach] = rng.uniform(0.1, 10.0)
+    return values
+
+
+def signed_zero_delta(reach):
+    """1 at n = 0 and -0.0 elsewhere: the least minors are zeros of both signs."""
+    values = np.full(2 * reach + 1, -0.0)
+    values[reach] = 1.0
+    return values
 
 
 def assert_same_report(fast, ref):
@@ -287,9 +372,10 @@ class TestPf2:
 
     def test_spike_matches_bruteforce(self):
         spike = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 10.0, 1.0])
-        for window in (1, 3, 5):
-            assert_same_report(pf2_check(spike, window=window),
-                               pf2_check_bruteforce(spike, window=window))
+        for seq in (spike, signed_zero_delta(7)):
+            for window in (1, 3, 5):
+                assert_same_report(pf2_check(seq, window=window),
+                                   pf2_check_bruteforce(seq, window=window))
 
     @given(pf2_cases())
     @settings(max_examples=300, deadline=None)
@@ -297,6 +383,31 @@ class TestPf2:
         values, window = case
         assert_same_report(pf2_check(values, window=window),
                            pf2_check_bruteforce(values, window=window))
+
+    @pytest.mark.parametrize("window", [30, 36, 48, 60])
+    def test_cnoidal_reports_match_classes(self, window):
+        cn2 = cn2_coeffs(build_kdv_cnoidal(1.0, 1.0, 1.0, 1.0).cnoidal, 2 * window)
+        cn4 = cn4_coeffs_halfmodulus(build_fifth_order_cnoidal(1.0, 1.0, 1.0), 2 * window)
+        for seq in (cn2, cn4):
+            assert_same_report(pf2_check(seq, window=window),
+                               pf2_check_classes(seq, window=window))
+
+    @pytest.mark.parametrize("window", [30, 36, 48, 60])
+    def test_pooled_and_spiked_match_classes(self, window):
+        rng = np.random.default_rng(window)
+        failing = 0
+        for _ in range(4):
+            reach = int(rng.integers(window, 2 * window + 3))
+            values = pooled_sequence(rng, reach)
+            spiked = 0.5 ** np.abs(np.arange(-reach, reach + 1))
+            spiked[reach + int(rng.integers(1, reach + 1))] = 10.0
+            for seq in (values, spiked):
+                ref = pf2_check_classes(seq, window=window)
+                assert_same_report(pf2_check(seq, window=window), ref)
+                failing += ref.failures > 0
+        assert failing == 8
+        assert_same_report(pf2_check(signed_zero_delta(2 * window), window=window),
+                           pf2_check_classes(signed_zero_delta(2 * window), window=window))
 
     def test_window_60_memory(self):
         seq = cn4_coeffs_halfmodulus(build_fifth_order_cnoidal(1.0, 1.0, 1.0), 120)
@@ -323,7 +434,7 @@ class TestAnalyticDispatch:
 
 class TestCoeffSequence:
     def test_getitem_bounds(self):
-        seq = CoeffSequence(values=np.array([1.0, 0.5]), half_period=1.0)
+        seq = CoeffSequence(values=np.array([1.0, 0.5]))
         with pytest.raises(IndexError):
             seq[5]
 

@@ -464,6 +464,13 @@ class TestTimeInputs:
         with pytest.raises(ValueError, match=f"dt must be positive and finite, got {dt!r}"):
             step(state, dt)
 
+    @pytest.mark.parametrize("t0", [0.0, 2.5])
+    def test_zero_length_run_takes_no_step(self, state, t0):
+        state = replace(state, time=t0)
+        final, records = evolve(state, t0, dt=0.01, reference=state.field)
+        assert final is state
+        assert [r.time for r in records] == [t0]
+
     def test_step_count_cap(self, state):
         with pytest.raises(ValueError, match="20000000000 steps, above the cap of 1000000"):
             evolve(state, 20.0, dt=1e-9)

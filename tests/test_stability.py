@@ -1,4 +1,5 @@
 import math
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +22,8 @@ from fkdv.stability import (
     reports_to_csv,
     solve_flux_for_wavelength,
 )
-from fkdv.waves import build_kdv_cnoidal, build_kdv_soliton
+from fkdv.elliptic import EllipticContext
+from fkdv.waves import build_kdv_cnoidal, build_kdv_soliton, cn2_params
 
 B0 = Fraction(-891, 14515200)
 
@@ -168,6 +170,17 @@ class TestCn2Derivative:
         with pytest.raises(ValueError):
             cn2_norm_derivative(1.0, 1.0, 1.0, 1.0, mode="frozen")
 
+    # the Richardson steps are relative to |c|, so c = 0 gave ZeroDivisionError
+    @pytest.mark.parametrize("mode", ["fixed-flux", "fixed-period"])
+    @pytest.mark.parametrize("c", [0.0, -0.0])
+    def test_zero_speed_rejected(self, c, mode):
+        with pytest.raises(ValueError, match="kdv-cnoidal norm derivative needs c != 0"):
+            cn2_norm_derivative(1.0, 1.0, c, 1.0, mode=mode)
+
+    @pytest.mark.parametrize("mode", ["fixed-flux", "fixed-period"])
+    def test_negative_speed_still_judged(self, mode):
+        assert cn2_norm_derivative(1.0, 1.0, -0.7, 1.0, mode=mode).verdict == "stable"
+
     def test_step_size_disagreement_raises(self):
         from fkdv.stability import StepSizeError, _richardson_checked
         # a fast jitter makes the two step scales disagree violently
@@ -212,6 +225,51 @@ class TestCn2Derivative:
         pos = solve_flux_for_wavelength(1.0, 1.0, 1.01, lam0, flux_guess=1.0)
         neg = solve_flux_for_wavelength(-1.0, 1.0, 1.01, lam0, flux_guess=-1.0)
         assert neg == -pos
+
+
+def report_bits(rep):
+    """Every field of a report, floats (also inside ``terms``) as their bits."""
+    def bits(v):
+        return struct.pack("<d", v) if isinstance(v, float) else v
+    fields = {name: getattr(rep, name) for name in StabilityReport.__dataclass_fields__}
+    fields["terms"] = {name: bits(v) for name, v in (rep.terms or {}).items()}
+    return {name: bits(v) for name, v in fields.items()}
+
+
+class TestCn2Cache:
+    POINTS = [(1.0, 1.0, 1.0, 1.0), (1.0, 1.0, 0.37, 2.4), (-1.0, 1.0, 1.3, -0.6),
+              (1.0, 2.0, -0.7, 1.0)]
+    MODES = ("fixed-flux", "fixed-period")
+
+    @pytest.mark.parametrize("point", POINTS)
+    def test_reports_equal_cold_and_warm_in_either_order(self, point):
+        cold = {}
+        for mode in self.MODES:
+            cn2_params.cache_clear()
+            cold[mode] = report_bits(cn2_norm_derivative(*point, mode=mode))
+        for order in (self.MODES, self.MODES[::-1]):
+            cn2_params.cache_clear()
+            for mode in order:
+                assert report_bits(cn2_norm_derivative(*point, mode=mode)) == cold[mode]
+            for mode in order:  # warm: every member already cached
+                assert report_bits(cn2_norm_derivative(*point, mode=mode)) == cold[mode]
+
+    def test_cold_fixed_flux_builds_each_member_once(self, monkeypatch):
+        built = []
+        from_modulus = EllipticContext.from_modulus
+        monkeypatch.setattr(EllipticContext, "from_modulus",
+                            classmethod(lambda cls, k: built.append(k) or from_modulus(k)))
+        cn2_params.cache_clear()
+        cn2_norm_derivative(1.0, 1.0, 1.0, 1.0, mode="fixed-flux")
+        # 8 Richardson speeds plus the centre member, and 8 moduli for dK/dk, dK'/dk
+        assert len(built) <= 17
+
+    def test_rejected_members_are_not_cached(self):
+        cn2_params.cache_clear()
+        for _ in range(2):
+            with pytest.raises(ValueError, match="mass flux of the sign of gamma"):
+                cn2_params(1.0, 1.0, 1.0, -0.1)
+        assert cn2_params.cache_info().currsize == 0
 
 
 class TestParsevalBridge:
