@@ -32,8 +32,6 @@ from .pde import (
     SpectralState,
     evolve,
     orbital_distance,
-    sobolev_norm,
-    spectral_shift,
     stability_experiment,
     step,
 )
@@ -45,7 +43,6 @@ from .stability import (
     gegenbauer_terms,
     gegenbauer_verdict,
     kdv_soliton_norm_derivative,
-    kdv_soliton_norm_sq,
 )
 from .waves import (
     FAMILIES,

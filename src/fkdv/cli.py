@@ -21,7 +21,8 @@ from . import fourier, pde, stability, waves
 
 _USAGE_ERROR = 2
 _CHECK_FAILED = 1
-# verify's PF(2) check is O(nmax^3) in time and O(nmax^2) in memory; a
+# verify's PF(2) check takes O(nmax^2) memory and, on passing (analytic)
+# coefficients, O(nmax^2) time (O(nmax^3) when every minor row fails); a
 # profile holds a few arrays of --samples floats; --jmax is a series length
 _NMAX_CAP = 64
 _SAMPLES_CAP = 2 ** 20

@@ -122,18 +122,29 @@ def jacobi_cn(z, k: float):
     if k < _TRIG_LIMIT:
         return np.cos(z)
 
-    # evaluate on |z| so that cn is even bit-for-bit
-    z = np.abs(z)
     a, c = _agm_sequence(k)
     n_last = len(a) - 1
     K = math.pi / (2.0 * a[-1])
-    z = np.mod(z + 2.0 * K, 4.0 * K) - 2.0 * K
+    # evaluate on |z| so that cn is even bit-for-bit; phi is a fresh array
+    # (at least 1-d, so the levels below can update it in place)
+    phi = np.abs(np.array(z, ndmin=1))
+    phi += 2.0 * K
+    # on [0, 4K) the reduction is exact and returns its argument
+    if phi.size and phi.max() >= 4.0 * K:
+        np.mod(phi, 4.0 * K, out=phi)
+    phi -= 2.0 * K
 
-    phi = (2.0 ** n_last) * a[-1] * z
+    phi *= (2.0 ** n_last) * a[-1]
+    level = np.empty_like(phi)
     for n in range(n_last, 0, -1):
-        phi = 0.5 * (phi + np.arcsin(np.clip(c[n] / a[n] * np.sin(phi), -1.0, 1.0)))
-    cn = np.cos(phi)
-    return float(cn) if cn.ndim == 0 else cn
+        np.sin(phi, out=level)
+        level *= c[n] / a[n]
+        np.clip(level, -1.0, 1.0, out=level)
+        np.arcsin(level, out=level)
+        phi += level
+        phi *= 0.5
+    np.cos(phi, out=phi)
+    return float(phi[0]) if z.ndim == 0 else phi
 
 
 @dataclass(frozen=True)

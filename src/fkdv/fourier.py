@@ -199,6 +199,97 @@ def _twosided_values(seq) -> tuple[np.ndarray, int]:
     return arr, len(arr) // 2
 
 
+def _least_minors(values: np.ndarray, reach: int, w: int, tol: float):
+    """(min_minor, min_location, failures) of the minors on window w; see pf2_check."""
+    span = 2 * w
+    # a(k) sits at a[off + k], NaN beyond min(reach, 2w)
+    off = 2 * span
+    a = np.full(2 * off + 1, np.nan)
+    r = min(reach, span)
+    a[off - r:off + r + 1] = values[reach - r:reach + r + 1]
+    # rows: s = 2c (shift 0), then s = 2c + 1 (shift 1), c = 1 - 2w .. 2w - 1;
+    # table[s, u] = a(c + shift + u) a(c - u) for u = 0 .. 2w
+    n_c = 2 * span - 1
+    # ahead[t, u] = a(t - off + u), a strided view of a; sliding_window_view
+    # gives the same in 20 us instead of 1 and leaves the process holding
+    # about 1 MB more after a few thousand calls
+    ahead = np.ndarray((len(a) - span, span + 1), buffer=a, strides=a.strides * 2)
+    back = ahead[off - 2 * span + 1:off, ::-1]   # back[c, u] = a(c - u)
+    table = np.empty((2 * n_c, span + 1))
+    np.multiply(ahead[off - span + 1:off + span], back, out=table[:n_c])
+    np.multiply(ahead[off - span + 2:off + span + 1], back, out=table[n_c:])
+    # gap e = 1 .. 2w: i = c - e, j = c + shift + e, and the p of the class
+    # lie at u <= min(e - 1, 2w - shift - e); odd s at e = 2w is all NaN
+    gap = np.arange(1, span + 1)
+    u_even, u_odd = np.minimum(gap - 1, span - gap), np.minimum(gap - 1, span - 1 - gap)
+    u_odd[-1] = 0
+    running = np.fmin.accumulate(table[:, :w], axis=1)   # every u bound is below w
+    row_least = np.empty((2 * n_c, span))
+    np.take(running[:n_c], u_even, axis=1, out=row_least[:n_c])
+    np.take(running[n_c:], u_odd, axis=1, out=row_least[n_c:])
+    del running
+    row_least -= table[:, 1:]
+    least = float(np.fmin.reduce(row_least, axis=None))
+    if math.isnan(least):
+        return math.inf, (-w, -w, -w, -w), 0
+    # the stages below need only these masks; freeing the rest keeps the peak down
+    tied, failing = row_least == least, row_least < -tol
+    del row_least
+
+    # the lexicographically first quadruple tied at the least minor, from the
+    # tied (s, i) rows, 4w^2 minors (at least 4096) at a time.  Within one
+    # (s, i) it has the largest p <= 0, else the least p > 0, so p ranks by
+    # |p| + 4w [p > 0]; across them a quadruple packs into one integer.
+    base = 2 * w + 1
+    best_key = None
+    u = np.arange(w)
+    tied_rows = np.flatnonzero(tied.any(axis=1))
+    block = max(2, 2 ** 12 // (span * w))
+    for start in range(0, len(tied_rows), block):
+        rows = tied_rows[start:start + block]
+        pick, col = np.nonzero(tied[rows])
+        ri, e = rows[pick], col + 1
+        c, sh = ri % n_c + 1 - span, ri // n_c
+        minor = table[ri, :w] - table[ri, e][:, None]
+        rank = np.full(minor.shape, 8 * w)
+        for p in ((c + sh)[:, None] + u, c[:, None] - u):
+            np.minimum(rank, np.abs(p) + 4 * w * (p > 0), out=rank)
+        rank[(minor != least) | (u > np.minimum(e - 1, span - sh - e)[:, None])] = 8 * w
+        ub = rank.argmin(axis=1)
+        r = rank[np.arange(len(ri)), ub]
+        p = np.where(r > span, r - 4 * w, -r)
+        n1 = np.maximum(-w, p - w)
+        # (n1, n2, m1, m2) = (n1, n1 + j - p, n1 - p, n1 - i)
+        quad = (n1, n1 + c + sh + e - p, n1 - p, n1 - c + e)
+        key = (((quad[0] + w) * base + quad[1] + w) * base + quad[2] + w) * base + quad[3] + w
+        first = int(np.argmin(key))
+        if best_key is None or key[first] < best_key:
+            best_key = key[first]
+            location = tuple(int(q[first]) for q in quad)
+            min_minor = float(minor[first, ub[first]])
+
+    # failing minors one offset u at a time over the bounding box of the
+    # failing rows; a class counts 2w + 1 + i - max(0, p) - max(0, s - p)
+    # quadruples, the same for p and its mirror s - p.  Column e = 2w - u of
+    # an odd s lies outside its window but counts 0 quadruples there.
+    failures = 0
+    if least < -tol:
+        fr, fq = np.flatnonzero(failing.any(axis=1)), np.flatnonzero(failing.any(axis=0))
+        box = slice(fr[0], fr[-1] + 1)
+        ri = np.arange(fr[0], fr[-1] + 1)[:, None]
+        cr, sh = ri % n_c + 1 - span, ri // n_c
+        for ui in range(w):
+            lo, hi = max(fq[0] + 1, ui + 1), min(fq[-1] + 2, span - ui + 1)
+            if lo >= hi:
+                continue
+            fail = table[box, ui:ui + 1] - table[box, lo:hi] < -tol
+            weight = span + 1 + cr - np.maximum(0, cr + sh + ui) - np.maximum(0, cr - ui)
+            mult = 2 if ui else 1 + sh  # p = s - p at u = 0 of an even s
+            failures += int(np.sum(mult * (np.count_nonzero(fail, axis=1)[:, None] * weight
+                                           - (fail @ np.arange(lo, hi))[:, None])))
+    return min_minor, location, failures
+
+
 def pf2_check(seq, window: int = 12, tol_factor: float = 1e-14) -> Pf2Report:
     """Check every 2x2 Toeplitz minor a(n1-m1)a(n2-m2) - a(n1-m2)a(n2-m1).
 
@@ -209,19 +300,33 @@ def pf2_check(seq, window: int = 12, tol_factor: float = 1e-14) -> Pf2Report:
     floating-point floor for minors that vanish exactly.  The log-concavity
     corollary a(n)^2 >= a(n-1)a(n+1) is reported separately.
 
-    A minor depends on its quadruple only through p = n1 - m1, dn = n2 - n1
-    and dm = m2 - m1, as a(p)a(p+dn-dm) - a(p-dm)a(p+dn), so each class
-    (p, dn, dm) is evaluated once, as prod(dn-dm, p) - prod(dn+dm, p-dm)
-    from one table prod(e, i) = a(i)a(i+e) that is NaN where an index leaves
-    the stored range.  For each dm the (dn, p) plane is the difference of two
-    row slices, and its NaN-skipping minimum (``np.fmin``) is the least
-    checked minor: O(window^3) time, O(window^2) memory.  A class stands
-    for the quadruples with n1 in [max(-w, p-w), min(w-dn, p+w-dm)], w the
-    window; ``failures`` counts those quadruples.  ``min_location`` is the
-    lexicographically first (n1, n2, m1, m2) among all quadruples tied at the
-    minimum; with no finite minor it is (-w, -w, -w, -w) and the minimum inf.
-    Entries that are not finite, or whose largest square overflows (and with
-    it the tolerance, so every minor would pass), are rejected.
+    With i = n1 - m2 < p = n1 - m1 < j = n2 - m1 and s = i + j, a minor is
+    a(p)a(s-p) - a(i)a(j).  It depends on the quadruple only through the
+    class (s, i, p), with p - i and j - p in 1..2w (w the window), and a
+    class stands for 2w + 1 + i - max(0, p) - max(0, s-p) quadruples, the
+    first of them at n1 = max(-w, p - w).
+
+    Both products of a minor lie on the anti-diagonal s of the table
+    a(x)a(y), so two tables hold them all: E[c, u] = a(c+u)a(c-u) for
+    s = 2c and O[c, u] = a(c+1+u)a(c-u) for s = 2c+1, each the product of
+    two strided views of the sequence.  For the gap e = c - i the p of the
+    classes lie at u <= min(e-1, 2w-e) (even s) or u <= min(e-1, 2w-1-e)
+    (odd s), and a(i)a(j) is the same table at u = e.  So the least minor of
+    every (s, i) is a running minimum along the row less one entry:
+    O(window^2) time and memory.  It is bitwise the least of the row's
+    minors: products commute exactly, and rounding is monotone, so
+    fl(min x - y) = min fl(x - y).  Entries beyond min(reach, 2w) are NaN
+    and skipped (``np.fmin``), which leaves exactly the classes that stand
+    for a quadruple.  Only the rows at the least minor or below the
+    tolerance are then enumerated, O(window^3) when every row fails.
+
+    ``min_location`` is the lexicographically first (n1, n2, m1, m2) among
+    all quadruples tied at the minimum and ``min_minor`` the minor there, a
+    zero keeping its sign; ``failures`` counts the quadruples below the
+    tolerance.  With no finite minor the location is (-w, -w, -w, -w) and
+    the minimum inf.  Entries that are not finite, or whose largest square
+    overflows (and with it the tolerance, so every minor would pass), are
+    rejected.
     """
     values, reach = _twosided_values(seq)
     if not np.all(np.isfinite(values)):
@@ -232,49 +337,12 @@ def pf2_check(seq, window: int = 12, tol_factor: float = 1e-14) -> Pf2Report:
         raise ValueError(f"the square of the largest entry {np.max(values):.3e} overflows")
     if window < 0:
         raise ValueError(f"window must be nonnegative, got {window!r}")
-    w = window
     scale = float(np.max(values) ** 2)
     tol = tol_factor * scale
-
-    # a(k) sits at a[off + k], NaN beyond min(reach, 2w).  The differences
-    # of a quadruple lie in [-2w, 2w], and a class stands for no quadruple
-    # exactly when it reads a(p - dm) or a(p + dn) beyond 2w, so the finite
-    # minors are the checked ones.  prod[e + 2w - 1, i + 2w] = a(i) a(i + e)
-    # for i in [-2w, 2w] and e in [1 - 2w, 4w].
-    span = 2 * w
-    off = 2 * span
-    a = np.full(5 * span + 1, np.nan)
-    r = min(reach, span)
-    a[off - r:off + r + 1] = values[reach - r:reach + r + 1]
-    i = np.arange(off - span, off + span + 1)
-    prod = a[i] * a[i + np.arange(1 - span, 2 * span + 1)[:, None]]
-    dn = np.arange(1, span + 1)[:, None]
-    p = np.arange(-span, span + 1)
-    lo = np.maximum(-w, p - w)
-
-    min_minor, location = math.inf, (-w, -w, -w, -w)
-    failures = 0
-    for dm in range(1, span + 1):
-        # dn = 1..2w down, p = dm - 2w..2w across; a smaller p reads
-        # a(p - dm) below -2w, so its minors would all be NaN
-        minor = (prod[span - dm:2 * span - dm, dm:]
-                 - prod[span + dm:2 * span + dm, :2 * span + 1 - dm])
-        least = float(np.fmin.reduce(minor, axis=None))
-        p_dm, lo_dm = p[dm:], lo[dm:]
-        if least < -tol:
-            count = np.minimum(w - dn, p_dm + w - dm) - lo_dm + 1
-            failures += int(np.sum(count[minor < -tol]))
-        if math.isnan(least) or least > min_minor:
-            continue
-        idn, ip = np.nonzero(minor == least)
-        n1 = lo_dm[ip]
-        n2 = n1 + dn[idn, 0]
-        m1 = n1 - p_dm[ip]
-        first = np.lexsort((m1, n2, n1))[0]
-        candidate = (int(n1[first]), int(n2[first]), int(m1[first]), int(m1[first]) + dm)
-        if least < min_minor or candidate < location:
-            min_minor = float(minor[idn[first], ip[first]])
-            location = candidate
+    if window == 0:
+        min_minor, location, failures = math.inf, (0, 0, 0, 0), 0
+    else:
+        min_minor, location, failures = _least_minors(values, reach, window, tol)
 
     # log-concavity across the stored range
     lc = values[1:-1] ** 2 - values[:-2] * values[2:]

@@ -44,8 +44,6 @@ __all__ = [
     "step",
     "evolve",
     "default_dt",
-    "sobolev_norm",
-    "spectral_shift",
     "orbital_distance",
     "state_from_profile",
     "characteristic_time",
@@ -317,23 +315,6 @@ def _sobolev_weights(n: int, domain_length: float, s: int):
     if n % 2 == 0:
         wts[-1] = 1.0
     return kap, wts * (1.0 + kap ** 2) ** s
-
-
-def sobolev_norm(u: np.ndarray, domain_length: float, s: int) -> float:
-    """Discrete H^s norm, sum_kappa (1 + kappa^2)^s |u_hat|^2 with u_hat = FFT/N."""
-    u = np.asarray(u, dtype=float)
-    n = len(u)
-    _, w = _sobolev_weights(n, domain_length, s)
-    spec = np.fft.rfft(u) / n
-    return math.sqrt(float(np.sum(w * np.abs(spec) ** 2)))
-
-
-def spectral_shift(u: np.ndarray, y: float, domain_length: float) -> np.ndarray:
-    """Evaluate u(x + y) through the transform phases (exact for band-limited u)."""
-    u = np.asarray(u, dtype=float)
-    n = len(u)
-    kap = _wavenumbers(n, domain_length)
-    return np.fft.irfft(np.fft.rfft(u) * np.exp(1j * kap * y), n)
 
 
 def orbital_distance(u: np.ndarray, reference: np.ndarray, domain_length: float,

@@ -26,19 +26,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from math import lgamma
 
 import numpy as np
 
 from .elliptic import CSCH_OVERFLOW, EllipticContext
 from .waves import (CN4_K, FIFTH_CNOIDAL, FIFTH_SOLITON, KDV_CNOIDAL, KDV_SOLITON,
-                    cn2_params, cn4_wavelength, write_csv)
+                    cn2_params, cn2_wavelength, cn4_wavelength, write_csv)
 
 __all__ = [
     "GegenbauerSeriesSpec",
     "StabilityReport",
     "StepSizeError",
-    "kdv_soliton_norm_sq",
     "kdv_soliton_norm_derivative",
     "gegenbauer_terms",
     "gegenbauer_terms_explicit",
@@ -55,6 +55,7 @@ __all__ = [
 
 _SERIES_CAP = 400          # hard cap on coefficient sums in n
 _SERIES_REL_FLOOR = 1e-18  # stop once the next term is this small relatively
+_REL_STEPS = (1e-3, 1e-4)  # Richardson steps relative to |c|, coarse then fine
 
 
 class StepSizeError(RuntimeError):
@@ -107,13 +108,6 @@ def _sign_verdict(norm_derivative: float) -> str:
 # KdV soliton: closed-form norm
 # ---------------------------------------------------------------------------
 
-def kdv_soliton_norm_sq(gamma: float, alpha: float, c: float) -> float:
-    """||phi_c||^2_{L^2(R)} = 24 alpha^{1/2} c^{3/2} / gamma^2."""
-    if alpha <= 0.0 or c <= 0.0:
-        raise ValueError("closed-form norm requires alpha > 0 and c > 0")
-    return 24.0 * math.sqrt(alpha) * c ** 1.5 / gamma ** 2
-
-
 def kdv_soliton_norm_derivative(gamma: float, alpha: float, c: float) -> float:
     """d/dc ||phi_c||^2 = 36 sqrt(alpha c) / gamma^2, positive for all c > 0."""
     if alpha <= 0.0 or c <= 0.0:
@@ -163,11 +157,22 @@ class GegenbauerSeriesSpec:
         return lam / (1.0 - lam) * mid * sq
 
 
+@lru_cache(maxsize=16)
+def _gegenbauer_series(jmax: int) -> np.ndarray:
+    series = np.array([GegenbauerSeriesSpec().term(j) for j in range(jmax + 1)])
+    series.flags.writeable = False
+    return series
+
+
 def gegenbauer_terms(spec: GegenbauerSeriesSpec, jmax: int) -> np.ndarray:
-    """Series terms b_0..b_jmax via the lambda/Gamma form, log-domain gammas."""
+    """Series terms b_0..b_jmax via the lambda/Gamma form, log-domain gammas.
+
+    The terms depend only on the orders r and n, class constants, so the
+    series is computed once per jmax; each call returns a fresh copy.
+    """
     if jmax < 1:
         raise ValueError("jmax must be >= 1")
-    return np.array([spec.term(j) for j in range(jmax + 1)])
+    return _gegenbauer_series(jmax).copy()
 
 
 def gegenbauer_terms_explicit(jmax: int) -> np.ndarray:
@@ -286,7 +291,7 @@ def _richardson(f, x: float, h: float) -> float:
     return (4.0 * d2 - d1) / 3.0
 
 
-def _richardson_checked(f, x: float, rel_steps=(1e-3, 1e-4), rel_tol: float = 1e-4) -> float:
+def _richardson_checked(f, x: float, rel_steps=_REL_STEPS, rel_tol: float = 1e-4) -> float:
     """Richardson derivative at two step scales; raise if they disagree."""
     d_coarse = _richardson(f, x, rel_steps[0] * abs(x))
     d_fine = _richardson(f, x, rel_steps[1] * abs(x))
@@ -342,7 +347,7 @@ def solve_flux_for_wavelength(gamma: float, alpha: float, c: float,
     sign = math.copysign(1.0, gamma)
 
     def objective(a):
-        return cn2_params(gamma, alpha, c, sign * a)[0].wavelength - wavelength
+        return cn2_wavelength(gamma, alpha, c, sign * a) - wavelength
 
     a = max(abs(flux_guess), 1e-12)
     fa = objective(a)
@@ -361,36 +366,11 @@ def solve_flux_for_wavelength(gamma: float, alpha: float, c: float,
     raise RuntimeError("could not bracket the fixed-period flux")
 
 
-def cn2_norm_derivative(gamma: float, alpha: float, c: float, flux_a: float,
-                        mode: str = "fixed-flux") -> StabilityReport:
-    """d/dc of the cn^2 coefficient norm plus the four-term sign decomposition.
-
-    mode "fixed-flux": differentiate with flux_a constant, the L inside the
-    norm following the wavelength.  mode "fixed-period": re-solve flux_a(c)
-    so the wavelength is constant and freeze L at it.  The decomposition
-    terms (i), (ii) (both positive), (iii) (identically zero) and (iv)
-    (positive) are the product-rule pieces of the frozen-L partial
-    derivative at fixed flux; their sum is reported next to a direct
-    frozen-L derivative as a consistency check.
-    """
-    if mode not in ("fixed-flux", "fixed-period"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if c == 0.0:
-        raise ValueError(f"the {KDV_CNOIDAL} norm derivative needs c != 0: "
-                         "its Richardson steps are relative to |c|")
+@lru_cache(maxsize=32, typed=True)
+def _cn2_decomposition(gamma: float, alpha: float, c: float, flux_a: float) -> tuple:
+    """Mode-free terms of a cn^2 report as (name, value) pairs; cached per member."""
     cn, ctx = cn2_params(gamma, alpha, c, flux_a)
     L0 = cn.half_period
-
-    if mode == "fixed-flux":
-        deriv = _richardson_checked(
-            lambda cc: cn2_ell2_norm_sq(gamma, alpha, cc, flux_a), c)
-    else:
-        def norm_fixed_period(cc):
-            a_cc = solve_flux_for_wavelength(gamma, alpha, cc, cn.wavelength,
-                                             flux_guess=flux_a)
-            return cn2_ell2_norm_sq(gamma, alpha, cc, a_cc, half_period=L0)
-
-        deriv = _richardson_checked(norm_fixed_period, c)
 
     # frozen-L partial derivative at fixed flux, and its four-term split
     frozen_direct = _richardson_checked(
@@ -419,16 +399,57 @@ def cn2_norm_derivative(gamma: float, alpha: float, c: float, flux_a: float,
     term_iv = (2.0 * math.pi ** 5 / L0 ** 4) * (emm / k ** 2) ** 2 \
         * ((ctx.Kprime * dK_dk - ctx.K * dKp_dk) / ctx.K ** 2) * d_k * s3
 
-    terms = {
-        "i": term_i,
-        "ii": term_ii,
-        "iii": term_iii,
-        "iv": term_iv,
-        "sum": term_i + term_ii + term_iii + term_iv,
-        "frozen_direct": frozen_direct,
-        "K_minus_D": kmd,
-        "d_K_minus_D": d_kmd,
-    }
+    return (("i", term_i), ("ii", term_ii), ("iii", term_iii), ("iv", term_iv),
+            ("sum", term_i + term_ii + term_iii + term_iv), ("frozen_direct", frozen_direct),
+            ("K_minus_D", kmd), ("d_K_minus_D", d_kmd))
+
+
+def cn2_norm_derivative(gamma: float, alpha: float, c: float, flux_a: float,
+                        mode: str = "fixed-flux") -> StabilityReport:
+    """d/dc of the cn^2 coefficient norm plus the four-term sign decomposition.
+
+    mode "fixed-flux": differentiate with flux_a constant, the L inside the
+    norm following the wavelength.  mode "fixed-period": re-solve flux_a(c)
+    so the wavelength is constant and freeze L at it.  The decomposition
+    terms (i), (ii) (both positive), (iii) (identically zero) and (iv)
+    (positive) are the product-rule pieces of the frozen-L partial
+    derivative at fixed flux; their sum is reported next to a direct
+    frozen-L derivative as a consistency check.  They do not depend on the
+    mode and are computed once per member.
+
+    A speed so small against the wave's scale that the finest Richardson
+    step moves the discriminant 9c^2 + 24*flux_a*gamma by less than half an
+    ulp (|c| below about 1e-6 sqrt(flux_a*gamma)) is rejected: the
+    differences there are rounding noise.
+    """
+    if mode not in ("fixed-flux", "fixed-period"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if c == 0.0:
+        raise ValueError(f"the {KDV_CNOIDAL} norm derivative needs c != 0: "
+                         "its Richardson steps are relative to |c|")
+    cn = cn2_params(gamma, alpha, c, flux_a)[0]
+    # between c - h/2 and c + h/2 the discriminant moves by 18|c|h exactly;
+    # below half an ulp the rounded discriminants can coincide
+    h = _REL_STEPS[-1] * abs(c)
+    if 18.0 * abs(c) * h < 0.5 * math.ulp(cn.delta):
+        raise ValueError(
+            f"the {KDV_CNOIDAL} norm derivative cannot resolve c = {c!r} against "
+            f"24*flux_a*gamma = {24.0 * flux_a * gamma!r}: its finest Richardson step "
+            f"{h:.3g} moves the discriminant {cn.delta!r} by less than half an ulp; "
+            "use a larger |c|")
+    L0 = cn.half_period
+
+    if mode == "fixed-flux":
+        deriv = _richardson_checked(
+            lambda cc: cn2_ell2_norm_sq(gamma, alpha, cc, flux_a), c)
+    else:
+        def norm_fixed_period(cc):
+            a_cc = solve_flux_for_wavelength(gamma, alpha, cc, cn.wavelength,
+                                             flux_guess=flux_a)
+            return cn2_ell2_norm_sq(gamma, alpha, cc, a_cc, half_period=L0)
+
+        deriv = _richardson_checked(norm_fixed_period, c)
+
     return StabilityReport(
         family=KDV_CNOIDAL,
         c=c,
@@ -436,7 +457,7 @@ def cn2_norm_derivative(gamma: float, alpha: float, c: float, flux_a: float,
         functional_i=-0.5 * L0 * deriv,
         verdict=_sign_verdict(deriv),
         mode=mode,
-        terms=terms,
+        terms=dict(_cn2_decomposition(gamma, alpha, c, flux_a)),
     )
 
 

@@ -51,6 +51,7 @@ __all__ = [
     "build_fifth_order_cnoidal",
     "build_profile",
     "cn2_params",
+    "cn2_wavelength",
     "cn4_wavelength",
     "conservation_residuals",
     "profile_to_csv",
@@ -217,17 +218,9 @@ def build_kdv_soliton(gamma: float, alpha: float, c: float,
     )
 
 
-@lru_cache(maxsize=256, typed=True)
-def cn2_params(gamma: float, alpha: float, c: float,
-               flux_a: float) -> tuple[CnoidalParams, EllipticContext]:
-    """Discriminant, amplitude, modulus, wavelength and M(c) of a cn^2 wave.
-
-    A real cn^2 wave needs flux_a*gamma > 0: for flux_a*gamma < 0 the
-    modulus exceeds 1 (or the amplitude has the wrong sign), and the
-    flux_a -> 0 limit drives the modulus to 1, which is rejected as
-    degenerate.  Also returns the elliptic context of the modulus.  Cached
-    (Richardson derivatives revisit members); both values are immutable.
-    """
+def _cn2_shape(gamma: float, alpha: float, c: float,
+               flux_a: float) -> tuple[float, float, float, float]:
+    """Discriminant, its square root, amplitude and modulus; see :func:`cn2_params`."""
     if gamma == 0.0:
         raise ValueError("gamma must be nonzero")
     if alpha <= 0.0:
@@ -247,8 +240,27 @@ def cn2_params(gamma: float, alpha: float, c: float,
         raise DegenerateModulusError(
             f"modulus {modulus!r} exceeds {_MODULUS_CAP}; the wave degenerates to a soliton"
         )
+    return delta, sqrt_delta, amp, modulus
+
+
+def _cn2_wavelength(alpha: float, delta: float, K: float) -> float:
+    return 4.0 * math.sqrt(3.0 * alpha) * K / delta ** 0.25
+
+
+@lru_cache(maxsize=256, typed=True)
+def cn2_params(gamma: float, alpha: float, c: float,
+               flux_a: float) -> tuple[CnoidalParams, EllipticContext]:
+    """Discriminant, amplitude, modulus, wavelength and M(c) of a cn^2 wave.
+
+    A real cn^2 wave needs flux_a*gamma > 0: for flux_a*gamma < 0 the
+    modulus exceeds 1 (or the amplitude has the wrong sign), and the
+    flux_a -> 0 limit drives the modulus to 1, which is rejected as
+    degenerate.  Also returns the elliptic context of the modulus.  Cached
+    (Richardson derivatives revisit members); both values are immutable.
+    """
+    delta, sqrt_delta, amp, modulus = _cn2_shape(gamma, alpha, c, flux_a)
     ctx = EllipticContext.from_modulus(modulus)
-    wavelength = 4.0 * math.sqrt(3.0 * alpha) * ctx.K / delta ** 0.25
+    wavelength = _cn2_wavelength(alpha, delta, ctx.K)
     cn_params = CnoidalParams(
         delta=delta,
         amplitude=amp,
@@ -258,6 +270,12 @@ def cn2_params(gamma: float, alpha: float, c: float,
         half_period=wavelength / 2.0,
     )
     return cn_params, ctx
+
+
+def cn2_wavelength(gamma: float, alpha: float, c: float, flux_a: float) -> float:
+    """Wavelength of the cn^2 wave, ``cn2_params(...)[0].wavelength`` from K alone."""
+    delta, _, _, modulus = _cn2_shape(gamma, alpha, c, flux_a)
+    return _cn2_wavelength(alpha, delta, complete_K(modulus))
 
 
 def build_kdv_cnoidal(gamma: float, alpha: float, c: float, flux_a: float,

@@ -21,7 +21,6 @@ from fkdv.stability import (
     cn4_norm_derivative,
     gegenbauer_verdict,
     kdv_soliton_norm_derivative,
-    kdv_soliton_norm_sq,
 )
 from fkdv.waves import (
     build_fifth_order_cnoidal,
@@ -55,6 +54,11 @@ def test_criterion_1_gegenbauer_series():
         total = rep.partial_sum + rep.tail_bound
         assert 4.5e-6 < total < 5.6e-6
         assert rep.verdict == "stable"
+
+
+def kdv_soliton_norm_sq(gamma, alpha, c):
+    """||phi_c||^2_{L^2(R)} = 24 alpha^{1/2} c^{3/2} / gamma^2 (closed form)."""
+    return 24.0 * math.sqrt(alpha) * c ** 1.5 / gamma ** 2
 
 
 def test_criterion_2_kdv_soliton_norm():

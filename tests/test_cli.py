@@ -105,6 +105,15 @@ class TestStabilityCommand:
         assert "needs c != 0" in capsys.readouterr().err
         assert not (tmp_path / "s_stability.csv").exists()
 
+    # a speed far below the wave's scale gave "not-stable-hypotheses" and exit 1
+    @pytest.mark.parametrize("speed", ["1e-300", "1e-12"])
+    def test_cnoidal_unresolvable_speed_is_a_usage_error(self, tmp_path, capsys, speed):
+        code = run(["stability", "--family", "kdv-cnoidal", f"--c-grid=0.5,{speed}",
+                    "--out", str(tmp_path / "s")])
+        assert code == 2
+        assert "cannot resolve c = " in capsys.readouterr().err
+        assert not (tmp_path / "s_stability.csv").exists()
+
     def test_inconclusive_reported_distinctly(self, tmp_path, capsys):
         code = run(["stability", "--family", "fifth-soliton", "--jmax", "1",
                     "--out", str(tmp_path / "s")])

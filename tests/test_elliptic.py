@@ -94,7 +94,42 @@ class TestLegendreD:
             assert complete_K(k) - legendre_D(k) > 0.0
 
 
+def jacobi_cn_reference(z, k):
+    """The allocating Landen kernel that jacobi_cn replaced, kept as its bitwise oracle."""
+    z = np.asarray(z, dtype=float)
+    if k < 1e-8:
+        return np.cos(z)
+    z = np.abs(z)
+    a, c = elliptic._agm_sequence(k)
+    n_last = len(a) - 1
+    K = math.pi / (2.0 * a[-1])
+    z = np.mod(z + 2.0 * K, 4.0 * K) - 2.0 * K
+    phi = (2.0 ** n_last) * a[-1] * z
+    for n in range(n_last, 0, -1):
+        phi = 0.5 * (phi + np.arcsin(np.clip(c[n] / a[n] * np.sin(phi), -1.0, 1.0)))
+    cn = np.cos(phi)
+    return float(cn) if cn.ndim == 0 else cn
+
+
 class TestJacobiCn:
+    @pytest.mark.parametrize("k", [1e-9, 0.3, math.sqrt(2) / 2, 0.99, 1.0 - 1e-10])
+    def test_bitwise_equal_to_reference(self, k):
+        rng = np.random.default_rng(7)
+        K = complete_K(k)
+        inside = rng.uniform(-2.0 * K, 2.0 * K, 4096)
+        beyond = rng.uniform(-40.0 * K, 40.0 * K, (16, 33))
+        edges = np.array([0.0, -0.0, 2.0 * K, -2.0 * K, 4.0 * K, np.nextafter(2.0 * K, 0.0)])
+        for z in (inside, beyond, edges, np.array([]), np.array(1.3), 0.25, -9.0 * K):
+            got, ref = jacobi_cn(z, k), jacobi_cn_reference(z, k)
+            assert type(got) is type(ref)
+            assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
+
+    def test_leaves_its_argument_alone(self):
+        z = np.linspace(-30.0, 30.0, 101)
+        before = z.copy()
+        jacobi_cn(z, 0.8)
+        assert np.array_equal(z, before)
+
     @pytest.mark.parametrize("k", [0.0, 0.2, math.sqrt(2) / 2, 0.95])
     def test_at_zero(self, k):
         assert jacobi_cn(0.0, k) == pytest.approx(1.0, abs=1e-15)

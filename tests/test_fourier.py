@@ -289,7 +289,7 @@ def assert_same_report(fast, ref):
 
 @st.composite
 def pf2_cases(draw):
-    window = draw(st.integers(0, 8))
+    window = draw(st.integers(0, 10))
     reach = draw(st.integers(0, 2 * window + 2))
     # a small pool of repeated values makes tied minima common
     pool = draw(st.lists(st.floats(0.0, 10.0), min_size=1, max_size=4))
@@ -372,7 +372,11 @@ class TestPf2:
 
     def test_spike_matches_bruteforce(self):
         spike = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 10.0, 1.0])
-        for seq in (spike, signed_zero_delta(7)):
+        # ties whose first quadruple needs n2 ordered before m1 (window 5),
+        # and one an odd-s row could win from beyond its p window (window 3)
+        tie_order = np.array([3.0, 3.0, 2.0, 3.0, 2.0, 2.0, 2.0, 2.0, 2.0, 3.0, 2.0, 2.0, 2.0])
+        odd_reach = np.array([1.0, 1.0, 1.0, 3.0, 1.0, 1.0, 2.0, 1.0, 1.0, 1.0, 1.0, 1.0, 3.0])
+        for seq in (spike, signed_zero_delta(7), tie_order, odd_reach):
             for window in (1, 3, 5):
                 assert_same_report(pf2_check(seq, window=window),
                                    pf2_check_bruteforce(seq, window=window))
@@ -408,6 +412,46 @@ class TestPf2:
         assert failing == 8
         assert_same_report(pf2_check(signed_zero_delta(2 * window), window=window),
                            pf2_check_classes(signed_zero_delta(2 * window), window=window))
+
+    @pytest.mark.parametrize("window", [30, 48, 64])
+    def test_every_input_kind_matches_classes(self, window):
+        # 64 is the CLI's --nmax cap
+        rng = np.random.default_rng(1000 + window)
+        reach = 2 * window
+        cn2 = cn2_coeffs(build_kdv_cnoidal(1.0, 1.0, 0.7, 2.0).cnoidal, reach)
+        cn4 = cn4_coeffs_halfmodulus(build_fifth_order_cnoidal(1.0, 1.0, 2.5), reach)
+        two_spikes = np.zeros(2 * reach + 1)
+        two_spikes[reach] = two_spikes[reach + 3] = 1.0
+        seqs = [cn2, cn4, pooled_sequence(rng, reach), pooled_sequence(rng, window + 1),
+                rng.uniform(0.0, 1.0, 2 * reach + 1), two_spikes, signed_zero_delta(reach)]
+        failing = 0
+        for seq in seqs:
+            ref = pf2_check_classes(seq, window=window)
+            assert_same_report(pf2_check(seq, window=window), ref)
+            failing += ref.failures > 0
+        assert failing >= 3
+
+    @staticmethod
+    def peak_bytes(seq, window):
+        pf2_check(seq, window=window)
+        tracemalloc.start()
+        try:
+            report = pf2_check(seq, window=window)
+            return report, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_window_64_memory(self):
+        # the one-table check this replaced peaked at 1.58 MB (passing cn^4)
+        # and 1.83 MB (failing uniform) here
+        seq = cn4_coeffs_halfmodulus(build_fifth_order_cnoidal(1.0, 1.0, 1.0), 128)
+        report, peak = self.peak_bytes(seq, 64)
+        assert report.passed
+        assert peak < 1.58 * 2 ** 20
+        failing = np.random.default_rng(64).uniform(0.0, 1.0, 257)
+        report, peak = self.peak_bytes(failing, 64)
+        assert report.failures > 0
+        assert peak < 1.83 * 2 ** 20
 
     def test_window_60_memory(self):
         seq = cn4_coeffs_halfmodulus(build_fifth_order_cnoidal(1.0, 1.0, 1.0), 120)

@@ -14,8 +14,6 @@ from fkdv.pde import (
     default_dt,
     evolve,
     orbital_distance,
-    sobolev_norm,
-    spectral_shift,
     stability_experiment,
     state_from_profile,
     step,
@@ -29,6 +27,23 @@ from fkdv.waves import (
     build_kdv_soliton,
     build_profile,
 )
+
+
+def sobolev_norm(u, domain_length, s):
+    """Discrete H^s norm, sum_kappa (1 + kappa^2)^s |u_hat|^2 with u_hat = FFT/N."""
+    u = np.asarray(u, dtype=float)
+    n = len(u)
+    _, w = pde._sobolev_weights(n, domain_length, s)
+    spec = np.fft.rfft(u) / n
+    return math.sqrt(float(np.sum(w * np.abs(spec) ** 2)))
+
+
+def spectral_shift(u, y, domain_length):
+    """Evaluate u(x + y) through the transform phases (exact for band-limited u)."""
+    u = np.asarray(u, dtype=float)
+    n = len(u)
+    kap = pde._wavenumbers(n, domain_length)
+    return np.fft.irfft(np.fft.rfft(u) * np.exp(1j * kap * y), n)
 
 
 def soliton_state(grid_n=1024):

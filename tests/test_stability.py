@@ -18,14 +18,19 @@ from fkdv.stability import (
     gegenbauer_terms_explicit,
     gegenbauer_verdict,
     kdv_soliton_norm_derivative,
-    kdv_soliton_norm_sq,
     reports_to_csv,
     solve_flux_for_wavelength,
 )
+from fkdv import stability
 from fkdv.elliptic import EllipticContext
 from fkdv.waves import build_kdv_cnoidal, build_kdv_soliton, cn2_params
 
 B0 = Fraction(-891, 14515200)
+
+
+def kdv_soliton_norm_sq(gamma, alpha, c):
+    """||phi_c||^2_{L^2(R)} = 24 alpha^{1/2} c^{3/2} / gamma^2 (closed form)."""
+    return 24.0 * math.sqrt(alpha) * c ** 1.5 / gamma ** 2
 
 
 def b_j_exact(j: int) -> Fraction:
@@ -70,6 +75,18 @@ class TestGegenbauerSeries:
         # paper-quoted magnitude (11/10!)(81/4) ~ 6.14e-5
         assert abs(b[0]) == pytest.approx(6.14e-5, rel=0.01)
         assert B0 == Fraction(11) / math.factorial(10) * Fraction(81, 4) * -1
+
+    @pytest.mark.parametrize("jmax", [1, 7, 200])
+    def test_terms_are_a_fresh_writable_copy(self, jmax):
+        spec = GegenbauerSeriesSpec(gamma_coef=0.5)
+        expected = np.array([spec.term(j) for j in range(jmax + 1)])
+        first = gegenbauer_terms(spec, jmax)
+        assert first.flags.writeable
+        assert first.tobytes() == expected.tobytes()
+        first[:] = 7.0
+        second = gegenbauer_terms(GegenbauerSeriesSpec(), jmax)
+        assert second is not first
+        assert second.tobytes() == expected.tobytes()
 
     def test_lambda_values(self):
         spec = GegenbauerSeriesSpec()
@@ -177,6 +194,21 @@ class TestCn2Derivative:
         with pytest.raises(ValueError, match="kdv-cnoidal norm derivative needs c != 0"):
             cn2_norm_derivative(1.0, 1.0, c, 1.0, mode=mode)
 
+    # the finest Richardson step left the member unchanged: derivative 0.0
+    # and "not-stable-hypotheses" at 1e-300, StepSizeError at 1e-12 and 1e-7
+    @pytest.mark.parametrize("mode", ["fixed-flux", "fixed-period"])
+    @pytest.mark.parametrize("c", [1e-300, 1e-12, -1e-12, 1e-7])
+    def test_unresolvable_speed_rejected(self, c, mode):
+        with pytest.raises(ValueError, match="cannot resolve c = .* less than half an ulp"):
+            cn2_norm_derivative(1.0, 1.0, c, 1.0, mode=mode)
+
+    @pytest.mark.parametrize("mode", ["fixed-flux", "fixed-period"])
+    @pytest.mark.parametrize("c", [1e-3, -1e-3, 5e-6])
+    def test_small_resolvable_speed_still_judged(self, c, mode):
+        rep = cn2_norm_derivative(1.0, 1.0, c, 1.0, mode=mode)
+        assert rep.verdict == "stable"
+        assert rep.norm_derivative > 2.0
+
     @pytest.mark.parametrize("mode", ["fixed-flux", "fixed-period"])
     def test_negative_speed_still_judged(self, mode):
         assert cn2_norm_derivative(1.0, 1.0, -0.7, 1.0, mode=mode).verdict == "stable"
@@ -236,6 +268,11 @@ def report_bits(rep):
     return {name: bits(v) for name, v in fields.items()}
 
 
+def clear_cn2_caches():
+    cn2_params.cache_clear()
+    stability._cn2_decomposition.cache_clear()
+
+
 class TestCn2Cache:
     POINTS = [(1.0, 1.0, 1.0, 1.0), (1.0, 1.0, 0.37, 2.4), (-1.0, 1.0, 1.3, -0.6),
               (1.0, 2.0, -0.7, 1.0)]
@@ -245,24 +282,46 @@ class TestCn2Cache:
     def test_reports_equal_cold_and_warm_in_either_order(self, point):
         cold = {}
         for mode in self.MODES:
-            cn2_params.cache_clear()
+            clear_cn2_caches()
             cold[mode] = report_bits(cn2_norm_derivative(*point, mode=mode))
         for order in (self.MODES, self.MODES[::-1]):
-            cn2_params.cache_clear()
+            clear_cn2_caches()
             for mode in order:
                 assert report_bits(cn2_norm_derivative(*point, mode=mode)) == cold[mode]
             for mode in order:  # warm: every member already cached
                 assert report_bits(cn2_norm_derivative(*point, mode=mode)) == cold[mode]
 
-    def test_cold_fixed_flux_builds_each_member_once(self, monkeypatch):
+    @pytest.mark.parametrize("point", POINTS)
+    def test_warm_decomposition_alone_gives_the_cold_report(self, point):
+        # members evicted, mode-free terms kept: the report must not change
+        for mode in self.MODES:
+            clear_cn2_caches()
+            cold = report_bits(cn2_norm_derivative(*point, mode=mode))
+            cn2_params.cache_clear()
+            assert report_bits(cn2_norm_derivative(*point, mode=mode)) == cold
+
+    @staticmethod
+    def count_contexts(monkeypatch):
         built = []
         from_modulus = EllipticContext.from_modulus
         monkeypatch.setattr(EllipticContext, "from_modulus",
                             classmethod(lambda cls, k: built.append(k) or from_modulus(k)))
-        cn2_params.cache_clear()
+        return built
+
+    def test_cold_fixed_flux_builds_each_member_once(self, monkeypatch):
+        built = self.count_contexts(monkeypatch)
+        clear_cn2_caches()
         cn2_norm_derivative(1.0, 1.0, 1.0, 1.0, mode="fixed-flux")
         # 8 Richardson speeds plus the centre member, and 8 moduli for dK/dk, dK'/dk
         assert len(built) <= 17
+
+    def test_fixed_period_after_fixed_flux_builds_one_context_per_speed(self, monkeypatch):
+        clear_cn2_caches()
+        cn2_norm_derivative(1.0, 1.0, 1.0, 1.0, mode="fixed-flux")
+        built = self.count_contexts(monkeypatch)
+        cn2_norm_derivative(1.0, 1.0, 1.0, 1.0, mode="fixed-period")
+        # the flux search reads K alone; only the 8 solved members need a context
+        assert len(built) <= 8
 
     def test_rejected_members_are_not_cached(self):
         cn2_params.cache_clear()

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from fkdv.waves import (
     build_kdv_soliton,
     build_profile,
     cn2_params,
+    cn2_wavelength,
     conservation_residuals,
     profile_to_csv,
     write_csv,
@@ -144,6 +146,20 @@ class TestKdvCnoidal:
         with pytest.raises(ValueError, match="mass flux of the sign of gamma") as exc:
             build_kdv_cnoidal(gamma, 1.0, 1.0, flux)
         assert not isinstance(exc.value, DegenerateModulusError)
+
+    def test_wavelength_is_bitwise_the_params_wavelength(self):
+        rng = np.random.default_rng(11)
+        for _ in range(2000):
+            gamma = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 3.0)
+            alpha, c = rng.uniform(0.1, 3.0), rng.uniform(-3.0, 3.0)
+            flux = np.sign(gamma) * 10.0 ** rng.uniform(-4.0, 2.0)
+            try:
+                expected = cn2_params(gamma, alpha, c, flux)[0].wavelength
+            except ValueError as exc:
+                with pytest.raises(type(exc), match=re.escape(str(exc))):
+                    cn2_wavelength(gamma, alpha, c, flux)
+                continue
+            assert cn2_wavelength(gamma, alpha, c, flux) == expected
 
     def test_params_helper_matches_builder(self):
         cn, ctx = cn2_params(1.0, 1.0, 1.3, 0.7)
