@@ -33,7 +33,6 @@ from .pde import (
     evolve,
     orbital_distance,
     stability_experiment,
-    step,
 )
 from .stability import (
     GegenbauerSeriesSpec,

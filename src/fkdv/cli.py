@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import re
 import sys
 
 import numpy as np
@@ -21,9 +22,8 @@ from . import fourier, pde, stability, waves
 
 _USAGE_ERROR = 2
 _CHECK_FAILED = 1
-# verify's PF(2) check takes O(nmax^2) memory and, on passing (analytic)
-# coefficients, O(nmax^2) time (O(nmax^3) when every minor row fails); a
-# profile holds a few arrays of --samples floats; --jmax is a series length
+# verify's PF(2) check takes O(nmax^2) time and memory; a profile holds a
+# few arrays of --samples floats; --jmax is a series length
 _NMAX_CAP = 64
 _SAMPLES_CAP = 2 ** 20
 _JMAX_CAP = 10_000
@@ -55,6 +55,10 @@ def build_parser() -> argparse.ArgumentParser:
     def command(name, help_text):
         p = sub.add_parser(name, help=help_text,
                            formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        # argparse reads a value that starts with '-' as an option unless it
+        # matches this; its default admits one plain number, so a grid like
+        # "-0.7,0.3" (or "-1e-3") lost its flag.  No option here starts '-<digit>'.
+        p._negative_number_matcher = re.compile(r"-\.?\d")
         _wave_args(p)
         return p
 
@@ -210,10 +214,10 @@ def cmd_verify(args) -> int:
         print(f"coefficients: worst floored rel err {worst:.3e} over n <= {nmax}")
 
         report = fourier.pf2_check(fourier.analytic_coeffs(profile, 2 * nmax), window=nmax)
+        pf2 = f"min minor {report.min_minor:.3e}, tolerance {report.tolerance:.3e}"
         if not report.passed:
-            failures.append(f"PF(2) minor {report.min_minor:.3e} at {report.min_location}")
-        print(f"PF(2): min minor {report.min_minor:.3e} at {report.min_location} "
-              f"({'ok' if report.passed else 'FAIL'})")
+            failures.append(f"PF(2) {pf2}")
+        print(f"PF(2): {pf2} ({'ok' if report.passed else 'FAIL'})")
 
     if failures:
         print(f"FAIL: {failures[0]}")

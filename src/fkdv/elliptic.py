@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -64,14 +65,22 @@ def _agm_sequence(k: float, kprime: float | None = None):
 
 
 def _complete_KED(k: float, kprime: float | None = None) -> tuple[float, float, float]:
-    """K, E and D = (K - E)/k^2 from one AGM run; below k = 0.02 D is legendre_D's series."""
-    a, c = _agm_sequence(k, kprime)
-    csum = 0.0
-    power = 0.5
-    for cn_ in c:
-        csum += power * cn_ * cn_
+    """K, E and D = (K - E)/k^2 from one AGM run; below k = 0.02 D is legendre_D's series.
+
+    The AGM of :func:`_agm_sequence` on scalars, with E's sum of
+    2^(n-1) c_n^2 accumulated as it goes.
+    """
+    a, c = 1.0, k
+    b = math.sqrt((1.0 - k) * (1.0 + k)) if kprime is None else kprime
+    csum, power, steps = (0.5 * k) * k, 0.5, 0
+    while abs(c) > 2.3e-16 * a:
+        if steps >= _MAX_AGM_ITER:
+            raise RuntimeError(f"AGM failed to converge for k={k!r}")
+        a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
         power *= 2.0
-    K = math.pi / (2.0 * a[-1])
+        csum += power * c * c
+        steps += 1
+    K = math.pi / (2.0 * a)
     E = K * (1.0 - csum)
     if k < 0.02:
         k2 = k * k
@@ -138,8 +147,10 @@ def jacobi_cn(z, k: float):
     level = np.empty_like(phi)
     for n in range(n_last, 0, -1):
         np.sin(phi, out=level)
+        # arcsin needs no clip: a_n - c_n = b_(n-1) > 0 while k' > 0, and as
+        # rounding is monotone fl(a + b)/2 >= |fl(a - b)|/2 for a, b >= 0, so
+        # |c_n / a_n| <= 1 and |sin phi| c_n/a_n stays within [-1, 1]
         level *= c[n] / a[n]
-        np.clip(level, -1.0, 1.0, out=level)
         np.arcsin(level, out=level)
         phi += level
         phi *= 0.5
@@ -169,8 +180,11 @@ class EllipticContext:
     q: float
 
     @classmethod
+    @lru_cache(maxsize=256, typed=True)
     def from_modulus(cls, k: float) -> "EllipticContext":
-        k = _check_modulus(k)
+        """Context of modulus k; cached, since the cn^2 stability terms revisit moduli."""
+        # -0.0 and 0.0 share a cache entry, so both build the context of 0.0
+        k = _check_modulus(k) + 0.0
         kprime = math.sqrt((1.0 - k) * (1.0 + k))
         K, E, D = _complete_KED(k)
         # K(k') from the AGM of (1, k): sqrt((1 - k')(1 + k')) has lost

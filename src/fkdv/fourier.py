@@ -31,6 +31,7 @@ Terms whose csch argument passes ``CSCH_OVERFLOW`` are exact zeros.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -180,12 +181,14 @@ class Pf2Report:
     passed: bool
     window: int
     min_minor: float
-    min_location: tuple  # (n1, n2, m1, m2)
     scale: float
     log_concavity_ok: bool
     min_log_concavity: float
     tolerance: float
-    failures: int = 0
+
+
+# the largest entry whose square is finite
+_SQRT_FLOAT_MAX = math.sqrt(sys.float_info.max)
 
 
 def _twosided_values(seq) -> tuple[np.ndarray, int]:
@@ -199,8 +202,8 @@ def _twosided_values(seq) -> tuple[np.ndarray, int]:
     return arr, len(arr) // 2
 
 
-def _least_minors(values: np.ndarray, reach: int, w: int, tol: float):
-    """(min_minor, min_location, failures) of the minors on window w; see pf2_check."""
+def _least_minor(values: np.ndarray, reach: int, w: int) -> float:
+    """The least minor on window w, inf when none is defined; see pf2_check."""
     span = 2 * w
     # a(k) sits at a[off + k], NaN beyond min(reach, 2w)
     off = 2 * span
@@ -230,64 +233,7 @@ def _least_minors(values: np.ndarray, reach: int, w: int, tol: float):
     del running
     row_least -= table[:, 1:]
     least = float(np.fmin.reduce(row_least, axis=None))
-    if math.isnan(least):
-        return math.inf, (-w, -w, -w, -w), 0
-    # the stages below need only these masks; freeing the rest keeps the peak down
-    tied, failing = row_least == least, row_least < -tol
-    del row_least
-
-    # the lexicographically first quadruple tied at the least minor, from the
-    # tied (s, i) rows, 4w^2 minors (at least 4096) at a time.  Within one
-    # (s, i) it has the largest p <= 0, else the least p > 0, so p ranks by
-    # |p| + 4w [p > 0]; across them a quadruple packs into one integer.
-    base = 2 * w + 1
-    best_key = None
-    u = np.arange(w)
-    tied_rows = np.flatnonzero(tied.any(axis=1))
-    block = max(2, 2 ** 12 // (span * w))
-    for start in range(0, len(tied_rows), block):
-        rows = tied_rows[start:start + block]
-        pick, col = np.nonzero(tied[rows])
-        ri, e = rows[pick], col + 1
-        c, sh = ri % n_c + 1 - span, ri // n_c
-        minor = table[ri, :w] - table[ri, e][:, None]
-        rank = np.full(minor.shape, 8 * w)
-        for p in ((c + sh)[:, None] + u, c[:, None] - u):
-            np.minimum(rank, np.abs(p) + 4 * w * (p > 0), out=rank)
-        rank[(minor != least) | (u > np.minimum(e - 1, span - sh - e)[:, None])] = 8 * w
-        ub = rank.argmin(axis=1)
-        r = rank[np.arange(len(ri)), ub]
-        p = np.where(r > span, r - 4 * w, -r)
-        n1 = np.maximum(-w, p - w)
-        # (n1, n2, m1, m2) = (n1, n1 + j - p, n1 - p, n1 - i)
-        quad = (n1, n1 + c + sh + e - p, n1 - p, n1 - c + e)
-        key = (((quad[0] + w) * base + quad[1] + w) * base + quad[2] + w) * base + quad[3] + w
-        first = int(np.argmin(key))
-        if best_key is None or key[first] < best_key:
-            best_key = key[first]
-            location = tuple(int(q[first]) for q in quad)
-            min_minor = float(minor[first, ub[first]])
-
-    # failing minors one offset u at a time over the bounding box of the
-    # failing rows; a class counts 2w + 1 + i - max(0, p) - max(0, s - p)
-    # quadruples, the same for p and its mirror s - p.  Column e = 2w - u of
-    # an odd s lies outside its window but counts 0 quadruples there.
-    failures = 0
-    if least < -tol:
-        fr, fq = np.flatnonzero(failing.any(axis=1)), np.flatnonzero(failing.any(axis=0))
-        box = slice(fr[0], fr[-1] + 1)
-        ri = np.arange(fr[0], fr[-1] + 1)[:, None]
-        cr, sh = ri % n_c + 1 - span, ri // n_c
-        for ui in range(w):
-            lo, hi = max(fq[0] + 1, ui + 1), min(fq[-1] + 2, span - ui + 1)
-            if lo >= hi:
-                continue
-            fail = table[box, ui:ui + 1] - table[box, lo:hi] < -tol
-            weight = span + 1 + cr - np.maximum(0, cr + sh + ui) - np.maximum(0, cr - ui)
-            mult = 2 if ui else 1 + sh  # p = s - p at u = 0 of an even s
-            failures += int(np.sum(mult * (np.count_nonzero(fail, axis=1)[:, None] * weight
-                                           - (fail @ np.arange(lo, hi))[:, None])))
-    return min_minor, location, failures
+    return math.inf if math.isnan(least) else least
 
 
 def pf2_check(seq, window: int = 12, tol_factor: float = 1e-14) -> Pf2Report:
@@ -302,9 +248,7 @@ def pf2_check(seq, window: int = 12, tol_factor: float = 1e-14) -> Pf2Report:
 
     With i = n1 - m2 < p = n1 - m1 < j = n2 - m1 and s = i + j, a minor is
     a(p)a(s-p) - a(i)a(j).  It depends on the quadruple only through the
-    class (s, i, p), with p - i and j - p in 1..2w (w the window), and a
-    class stands for 2w + 1 + i - max(0, p) - max(0, s-p) quadruples, the
-    first of them at n1 = max(-w, p - w).
+    class (s, i, p), with p - i and j - p in 1..2w (w the window).
 
     Both products of a minor lie on the anti-diagonal s of the table
     a(x)a(y), so two tables hold them all: E[c, u] = a(c+u)a(c-u) for
@@ -313,36 +257,33 @@ def pf2_check(seq, window: int = 12, tol_factor: float = 1e-14) -> Pf2Report:
     classes lie at u <= min(e-1, 2w-e) (even s) or u <= min(e-1, 2w-1-e)
     (odd s), and a(i)a(j) is the same table at u = e.  So the least minor of
     every (s, i) is a running minimum along the row less one entry:
-    O(window^2) time and memory.  It is bitwise the least of the row's
-    minors: products commute exactly, and rounding is monotone, so
-    fl(min x - y) = min fl(x - y).  Entries beyond min(reach, 2w) are NaN
-    and skipped (``np.fmin``), which leaves exactly the classes that stand
-    for a quadruple.  Only the rows at the least minor or below the
-    tolerance are then enumerated, O(window^3) when every row fails.
+    O(window^2) time and memory, passing or failing.  It is bitwise the
+    least of the row's minors: products commute exactly, and rounding is
+    monotone, so fl(min x - y) = min fl(x - y).  Entries beyond
+    min(reach, 2w) are NaN and skipped (``np.fmin``), which leaves exactly
+    the classes that stand for a quadruple.
 
-    ``min_location`` is the lexicographically first (n1, n2, m1, m2) among
-    all quadruples tied at the minimum and ``min_minor`` the minor there, a
-    zero keeping its sign; ``failures`` counts the quadruples below the
-    tolerance.  With no finite minor the location is (-w, -w, -w, -w) and
-    the minimum inf.  Entries that are not finite, or whose largest square
+    ``min_minor`` is the least minor over all quadruples, as computed in
+    floating point (a zero may carry either sign), and inf when the window
+    holds no minor.  Entries that are not finite, or whose largest square
     overflows (and with it the tolerance, so every minor would pass), are
     rejected.
     """
     values, reach = _twosided_values(seq)
-    if not np.all(np.isfinite(values)):
+    # NaN and +-inf reach the least or the largest entry; the initial 0.0
+    # changes neither check and leaves an empty sequence trivial
+    lo, hi = np.min(values, initial=0.0), np.max(values, initial=0.0)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("PF(2) check needs finite coefficients; the sequence holds inf or NaN")
-    if np.any(values < 0.0) or not np.any(values > 0.0):
+    if lo < 0.0 or not hi > 0.0:
         raise ValueError("PF(2) check expects a nonnegative, nontrivial sequence")
-    if np.max(values) > math.sqrt(np.finfo(float).max):
-        raise ValueError(f"the square of the largest entry {np.max(values):.3e} overflows")
+    if hi > _SQRT_FLOAT_MAX:
+        raise ValueError(f"the square of the largest entry {hi:.3e} overflows")
     if window < 0:
         raise ValueError(f"window must be nonnegative, got {window!r}")
-    scale = float(np.max(values) ** 2)
+    scale = float(hi ** 2)
     tol = tol_factor * scale
-    if window == 0:
-        min_minor, location, failures = math.inf, (0, 0, 0, 0), 0
-    else:
-        min_minor, location, failures = _least_minors(values, reach, window, tol)
+    min_minor = _least_minor(values, reach, window) if window else math.inf
 
     # log-concavity across the stored range
     lc = values[1:-1] ** 2 - values[:-2] * values[2:]
@@ -353,10 +294,8 @@ def pf2_check(seq, window: int = 12, tol_factor: float = 1e-14) -> Pf2Report:
         passed=(min_minor >= -tol) and lc_ok,
         window=window,
         min_minor=min_minor,
-        min_location=location,
         scale=scale,
         log_concavity_ok=lc_ok,
         min_log_concavity=min_lc,
         tolerance=tol,
-        failures=failures,
     )

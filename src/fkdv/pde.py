@@ -41,7 +41,6 @@ __all__ = [
     "Perturbation",
     "ExperimentReport",
     "BlowUpError",
-    "step",
     "evolve",
     "default_dt",
     "orbital_distance",
@@ -199,18 +198,6 @@ def _step_spectrum(uh, coeffs, n):
     c = e_half * a + q * (2.0 * nl_b - nl_u)
     nl_c = _nonlinear(c, nl_factor, n)
     return e_full * uh + f1 * nl_u + f2x2 * (nl_a + nl_b) + f3 * nl_c
-
-
-def step(state: SpectralState, dt: float) -> SpectralState:
-    """Advance one ETDRK4 step; raises BlowUpError past 100x the initial peak."""
-    if not math.isfinite(dt) or dt <= 0.0:
-        raise ValueError(f"dt must be positive and finite, got {dt!r}")
-    coeffs = _etdrk4_coeffs(state.grid_n, state.domain_length, state.params, dt)
-    uh = np.fft.rfft(state.field)
-    uh = _step_spectrum(uh, coeffs, state.grid_n)
-    field = np.fft.irfft(uh, state.grid_n)
-    _check_blowup(field, np.max(np.abs(state.field)), state.time + dt)
-    return replace(state, field=field, time=state.time + dt)
 
 
 def default_dt(state: SpectralState) -> float:

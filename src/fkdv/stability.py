@@ -41,7 +41,6 @@ __all__ = [
     "StepSizeError",
     "kdv_soliton_norm_derivative",
     "gegenbauer_terms",
-    "gegenbauer_terms_explicit",
     "gegenbauer_verdict",
     "cn2_ell2_norm_sq",
     "cn4_ell2_norm_sq",
@@ -175,19 +174,6 @@ def gegenbauer_terms(spec: GegenbauerSeriesSpec, jmax: int) -> np.ndarray:
     return _gegenbauer_series(jmax).copy()
 
 
-def gegenbauer_terms_explicit(jmax: int) -> np.ndarray:
-    """b_0..b_jmax from the explicit r=4, n=2 factorial formula (cross-check)."""
-    out = np.empty(jmax + 1)
-    for j in range(jmax + 1):
-        bracket = (2 * j + 4) * (2 * j + 5) * (2 * j + 6) * (2 * j + 7) - 1680
-        lognum = (math.log(1680.0) + math.log(2 * j + 5.5)
-                  + 2.0 * math.log(j + 1.0) + 2.0 * math.log(j + 4.5)
-                  + lgamma(2 * j + 1.0))
-        logden = math.log(abs(bracket)) + lgamma(2 * j + 11.0)
-        out[j] = math.copysign(math.exp(lognum - logden), bracket)
-    return out
-
-
 def gegenbauer_verdict(spec: GegenbauerSeriesSpec, jmax: int = 200) -> StabilityReport:
     """Decide the sign of I from the partial sum plus a decay tail bound.
 
@@ -227,8 +213,12 @@ def gegenbauer_verdict(spec: GegenbauerSeriesSpec, jmax: int = 200) -> Stability
 # cn^2 family: sequence norm and its derivative in c
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=256, typed=True)
 def _csch_sums(K: float, Kprime: float):
-    """S2 = sum_{n != 0} n^2 csch^2(n pi K'/K) and S3 with the extra n coth."""
+    """S2 = sum_{n != 0} n^2 csch^2(n pi K'/K) and S3 with the extra n coth.
+
+    Cached: the frozen-L derivative revisits the fixed-flux members.
+    """
     ratio = math.pi * Kprime / K
     s2 = s3 = 0.0
     for n in range(1, _SERIES_CAP + 1):

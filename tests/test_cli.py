@@ -70,6 +70,13 @@ class TestVerifyCommand:
         assert code == 1
         assert "FAIL" in capsys.readouterr().out
 
+    def test_verify_prints_pf2_minor_next_to_its_tolerance(self, tmp_path, capsys):
+        assert run(["verify", "--family", "fifth-cnoidal", "--out", str(tmp_path / "v")]) == 0
+        (line,) = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("PF(2)")]
+        minor, tol = line.removeprefix("PF(2): min minor ").removesuffix(" (ok)").split(
+            ", tolerance ")
+        assert float(minor) >= -float(tol) and float(tol) > 0.0
+
 
 class TestStabilityCommand:
     def test_fifth_soliton_series(self, tmp_path, capsys):
@@ -113,6 +120,16 @@ class TestStabilityCommand:
         assert code == 2
         assert "cannot resolve c = " in capsys.readouterr().err
         assert not (tmp_path / "s_stability.csv").exists()
+
+    def test_grid_with_a_leading_negative_speed(self, tmp_path):
+        # argparse read "-0.7,0.3,1.5" as an option and exited 2
+        csv = []
+        for i, grid in enumerate((["--c-grid", "-0.7,0.3,1.5"], ["--c-grid=-0.7,0.3,1.5"])):
+            assert run(["stability", "--family", "kdv-cnoidal", *grid,
+                        "--out", str(tmp_path / f"g{i}")]) == 0
+            csv.append((tmp_path / f"g{i}_stability.csv").read_bytes())
+        assert csv[0] == csv[1]
+        assert csv[0].count(b"\n") == 7  # header, three speeds in two modes
 
     def test_inconclusive_reported_distinctly(self, tmp_path, capsys):
         code = run(["stability", "--family", "fifth-soliton", "--jmax", "1",

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -111,6 +112,60 @@ def jacobi_cn_reference(z, k):
     return float(cn) if cn.ndim == 0 else cn
 
 
+def complete_KED_reference(k, kprime=None):
+    """The list-based K, E, D that _complete_KED replaced, kept as its bitwise oracle."""
+    a, c = elliptic._agm_sequence(k, kprime)
+    csum = 0.0
+    power = 0.5
+    for cn_ in c:
+        csum += power * cn_ * cn_
+        power *= 2.0
+    K = math.pi / (2.0 * a[-1])
+    E = K * (1.0 - csum)
+    if k < 0.02:
+        k2 = k * k
+        D = (math.pi / 4.0) * (1.0 + k2 * (3.0 / 8.0 + k2 * (15.0 / 64.0 + k2 * 175.0 / 1024.0)))
+        return K, E, D
+    return K, E, (K - E) / (k * k)
+
+
+def context_bits(ctx):
+    return np.array([getattr(ctx, name) for name in EllipticContext.__dataclass_fields__]).tobytes()
+
+
+class TestScalarAgm:
+    def test_bitwise_equal_to_reference(self):
+        # uniform, below the k = 0.02 series switch, near 1, and the edges
+        rng = np.random.default_rng(11)
+        moduli = np.concatenate([
+            rng.uniform(0.0, 1.0, 10000),
+            10.0 ** rng.uniform(-12.0, math.log10(0.02), 6000),
+            1.0 - 10.0 ** rng.uniform(-12.0, -1.0, 4000),
+            [0.0, 1e-300, 0.02, np.nextafter(0.02, 0.0), np.nextafter(1.0, 0.0)],
+        ])
+        def bits(ked):
+            return struct.pack("<3d", *ked)
+
+        for k in moduli.tolist():
+            assert bits(elliptic._complete_KED(k)) == bits(complete_KED_reference(k)), k
+            if k == 0.0:
+                continue  # the context takes K'(0) = inf without an AGM
+            # K' of the context: the AGM of (1, k) at the complementary modulus
+            kprime = math.sqrt((1.0 - k) * (1.0 + k))
+            assert (bits(elliptic._complete_KED(kprime, k))
+                    == bits(complete_KED_reference(kprime, k))), k
+
+    @pytest.mark.parametrize("k", [0.3, 1.0 - 1e-10])
+    def test_same_iteration_cap(self, k, monkeypatch):
+        steps = len(elliptic._agm_sequence(k)[0]) - 1
+        monkeypatch.setattr(elliptic, "_MAX_AGM_ITER", steps)
+        assert elliptic._complete_KED(k) == complete_KED_reference(k)
+        monkeypatch.setattr(elliptic, "_MAX_AGM_ITER", steps - 1)
+        for ked in (complete_KED_reference, elliptic._complete_KED):
+            with pytest.raises(RuntimeError, match="AGM failed to converge"):
+                ked(k)
+
+
 class TestJacobiCn:
     @pytest.mark.parametrize("k", [1e-9, 0.3, math.sqrt(2) / 2, 0.99, 1.0 - 1e-10])
     def test_bitwise_equal_to_reference(self, k):
@@ -203,11 +258,27 @@ class TestEllipticContext:
     def test_one_agm_run_per_modulus(self, k, monkeypatch):
         # one AGM for K and E at k, one for K' at k'
         runs = []
-        agm = elliptic._agm_sequence
-        monkeypatch.setattr(elliptic, "_agm_sequence",
-                            lambda q, *b0: runs.append(q) or agm(q, *b0))
+        ked = elliptic._complete_KED
+        monkeypatch.setattr(elliptic, "_complete_KED",
+                            lambda q, *b0: runs.append(q) or ked(q, *b0))
+        EllipticContext.from_modulus.cache_clear()
         ctx = EllipticContext.from_modulus(k)
         assert runs == [k, ctx.kprime]
+
+    def test_fields_equal_cold_and_warm(self):
+        moduli = [0.0, 1e-9, 0.01, 0.3, math.sqrt(2) / 2, 0.95, 1.0 - 1e-10]
+        EllipticContext.from_modulus.cache_clear()
+        cold = [context_bits(EllipticContext.from_modulus(k)) for k in moduli]
+        for k, bits in zip(moduli, cold):
+            assert context_bits(EllipticContext.from_modulus(k)) == bits
+            assert context_bits(EllipticContext.from_modulus.__wrapped__(EllipticContext, k)) == bits
+
+    @pytest.mark.parametrize("first", [0.0, -0.0])
+    def test_signed_zero_modulus_is_zero_in_either_order(self, first):
+        EllipticContext.from_modulus.cache_clear()
+        for k in (first, -first):
+            assert context_bits(EllipticContext.from_modulus(k)) == context_bits(
+                EllipticContext.from_modulus.__wrapped__(EllipticContext, 0.0))
 
     def test_context_matches_the_functions(self):
         for k in (0.0, 0.01, 0.3, 0.95):

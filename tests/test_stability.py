@@ -15,7 +15,6 @@ from fkdv.stability import (
     cn4_series_constant,
     family_reports,
     gegenbauer_terms,
-    gegenbauer_terms_explicit,
     gegenbauer_verdict,
     kdv_soliton_norm_derivative,
     reports_to_csv,
@@ -31,6 +30,19 @@ B0 = Fraction(-891, 14515200)
 def kdv_soliton_norm_sq(gamma, alpha, c):
     """||phi_c||^2_{L^2(R)} = 24 alpha^{1/2} c^{3/2} / gamma^2 (closed form)."""
     return 24.0 * math.sqrt(alpha) * c ** 1.5 / gamma ** 2
+
+
+def gegenbauer_terms_explicit(jmax: int) -> np.ndarray:
+    """b_0..b_jmax from the explicit r=4, n=2 factorial formula (cross-check)."""
+    out = np.empty(jmax + 1)
+    for j in range(jmax + 1):
+        bracket = (2 * j + 4) * (2 * j + 5) * (2 * j + 6) * (2 * j + 7) - 1680
+        lognum = (math.log(1680.0) + math.log(2 * j + 5.5)
+                  + 2.0 * math.log(j + 1.0) + 2.0 * math.log(j + 4.5)
+                  + math.lgamma(2 * j + 1.0))
+        logden = math.log(abs(bracket)) + math.lgamma(2 * j + 11.0)
+        out[j] = math.copysign(math.exp(lognum - logden), bracket)
+    return out
 
 
 def b_j_exact(j: int) -> Fraction:
@@ -271,6 +283,8 @@ def report_bits(rep):
 def clear_cn2_caches():
     cn2_params.cache_clear()
     stability._cn2_decomposition.cache_clear()
+    stability._csch_sums.cache_clear()
+    EllipticContext.from_modulus.cache_clear()
 
 
 class TestCn2Cache:
@@ -309,8 +323,8 @@ class TestCn2Cache:
         return built
 
     def test_cold_fixed_flux_builds_each_member_once(self, monkeypatch):
-        built = self.count_contexts(monkeypatch)
         clear_cn2_caches()
+        built = self.count_contexts(monkeypatch)
         cn2_norm_derivative(1.0, 1.0, 1.0, 1.0, mode="fixed-flux")
         # 8 Richardson speeds plus the centre member, and 8 moduli for dK/dk, dK'/dk
         assert len(built) <= 17
