@@ -64,11 +64,24 @@ class TestVerifyCommand:
         header = (tmp_path / "v_coeffs.csv").read_text().splitlines()[0]
         assert header == "n,analytic,dft,rel_err"
 
-    def test_corrupted_speed_fails(self, tmp_path, capsys):
-        code = run(["verify", "--family", "fifth-soliton", "--speed-scale", "1.1",
+    @pytest.mark.parametrize("family", ["fifth-soliton", "kdv-cnoidal"])
+    def test_corrupted_speed_fails(self, family, tmp_path, capsys):
+        code = run(["verify", "--family", family, "--speed-scale", "1.1",
                     "--out", str(tmp_path / "v")])
         assert code == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_fifth_cnoidal_passes_on_4096_samples(self, tmp_path):
+        # unchopped rounding, lifted by kappa^4, breaks law 1's 1e-6 bound here
+        assert run(["verify", "--family", "fifth-cnoidal", "--samples", "4096",
+                    "--out", str(tmp_path / "v")]) == 0
+
+    def test_soliton_residuals_cover_the_box(self, tmp_path):
+        # 2049 samples on [-W, W]; the repeated endpoint is the only one dropped
+        run(["verify", "--family", "fifth-soliton", "--out", str(tmp_path / "v")])
+        lines = (tmp_path / "v_residuals.csv").read_text().splitlines()
+        assert lines[0] == "xi,residual1,residual2"
+        assert len(lines) - 1 == 2048
 
     def test_verify_prints_pf2_minor_next_to_its_tolerance(self, tmp_path, capsys):
         assert run(["verify", "--family", "fifth-cnoidal", "--out", str(tmp_path / "v")]) == 0

@@ -20,7 +20,7 @@ from fkdv.waves import (
     profile_to_csv,
     write_csv,
 )
-from fkdv.waves import _spectral_derivatives
+from fkdv.waves import _CHOP, _spectral_derivatives
 
 
 def all_four_profiles():
@@ -248,15 +248,45 @@ class TestConservation:
         assert np.std(check.law2) / check.scale2 < 1e-4
         assert abs(check.mean2) < 1e-4 * check.scale2
 
+    @pytest.mark.parametrize("n_samples", [512, 1024, 4096, 16384])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_laws_flat_at_every_resolution(self, family, n_samples):
+        # the chopped differentiator keeps kappa^4 from lifting rounding, so
+        # the residual does not grow with the sample count
+        prof = build_profile(family, 1.0, 1.0, 1.0, 1.0, 1.0, n_samples=n_samples)
+        check = conservation_residuals(prof)
+        assert np.std(check.law1) / check.scale1 < 1e-10
+        assert np.std(check.law2) / check.scale2 < 1e-10
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_residuals_cover_the_box(self, family):
+        # a solitary grid repeats its first point at the end; only that goes
+        prof = build_profile(family, 1.0, 1.0, 1.0, 1.0, 1.0)
+        check = conservation_residuals(prof)
+        n = len(prof.u) if prof.periodic else len(prof.u) - 1
+        assert len(check.xi) == len(check.residual1) == len(check.residual2) == n
+        assert np.array_equal(check.xi, prof.xi[:n])
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_batched_transform_matches_per_order(self, family):
+        prof = build_profile(family, 1.0, 1.0, 1.0, 1.0, 1.0)
+        u, period = prof.u[prof.xi < prof.window], 2.0 * prof.window
+        n = len(u)
+        uh = np.fft.rfft(u)
+        uh[np.abs(uh) < _CHOP * np.max(np.abs(uh))] = 0.0
+        kap = 2.0 * np.pi * np.fft.rfftfreq(n, d=period / n)
+        per_order = [np.fft.irfft(uh * (1j * kap) ** der, n) for der in (1, 2, 3, 4)]
+        assert np.array_equal(_spectral_derivatives(u, period), np.array(per_order))
+
     def test_zero_field_means_zero_flux(self):
         # both law expressions vanish identically on u = 0
         zeros = np.zeros(512)
-        d = _spectral_derivatives(zeros, 10.0)
+        d1, d2, d3, d4 = _spectral_derivatives(zeros, 10.0)
         p = MediumParams(gamma=1.0, alpha=1.0, beta=1.0, c=1.0)
-        law1 = -p.c * zeros + 0.5 * p.gamma * zeros ** 2 + p.alpha * d[2] - p.beta * d[4]
+        law1 = -p.c * zeros + 0.5 * p.gamma * zeros ** 2 + p.alpha * d2 - p.beta * d4
         law2 = (-0.5 * p.c * zeros ** 2 + p.gamma / 3.0 * zeros ** 3
-                + p.alpha * (zeros * d[2] - 0.5 * d[1] ** 2)
-                - p.beta * (zeros * d[4] - d[1] * d[3] + 0.5 * d[2] ** 2))
+                + p.alpha * (zeros * d2 - 0.5 * d1 ** 2)
+                - p.beta * (zeros * d4 - d1 * d3 + 0.5 * d2 ** 2))
         assert np.all(law1 == 0.0) and np.all(law2 == 0.0)
 
     def test_tampered_speed_breaks_first_law(self):
