@@ -10,16 +10,18 @@ norm along the family:
   gamma-function series with terms b_j (b_0 < 0, b_j > 0 for j >= 1), and
   stability follows from sum_{j>=1} b_j < |b_0|.
 * cn^2 / cn^4 cnoidal waves: I = -(L/2) d/dc of the two-sided coefficient
-  sequence norm; the derivative is formed with Richardson-extrapolated
-  central differences, and for cn^2 the four-term sign decomposition of the
-  product rule is evaluated term by term.
+  sequence norm.  Both norms are closed form, and so are their derivatives:
+  the cn^4 norm is proportional to c^2, and the cn^2 norm is differentiated
+  by the chain rule through K, D, K' and one csch series, with the
+  four-term sign decomposition of the product rule evaluated term by term.
 
 Differentiating the cn^2 norm in c is ambiguous about what is held fixed;
 both readings are implemented: ``fixed-flux`` holds the mass flux constant
-(the wavelength then drifts with c), ``fixed-period`` re-solves the flux at
-each c so the wavelength stays put (the setting of the periodic stability
-framework).  The four sign terms are always evaluated in the frozen-L
-partial sense that matches their derivation.
+(the wavelength then drifts with c), ``fixed-period`` lets the flux move
+with c so the wavelength stays put (the setting of the periodic stability
+framework); its derivative follows from the implicit-function theorem on
+the wavelength, with no root find.  The four sign terms are always
+evaluated in the frozen-L partial sense that matches their derivation.
 """
 
 from __future__ import annotations
@@ -31,14 +33,13 @@ from math import lgamma
 
 import numpy as np
 
-from .elliptic import CSCH_OVERFLOW, EllipticContext
+from .elliptic import CSCH_OVERFLOW
 from .waves import (CN4_K, FIFTH_CNOIDAL, FIFTH_SOLITON, KDV_CNOIDAL, KDV_SOLITON,
-                    cn2_params, cn2_wavelength, cn4_wavelength, write_csv)
+                    cn2_params, cn4_wavelength, write_csv)
 
 __all__ = [
     "GegenbauerSeriesSpec",
     "StabilityReport",
-    "StepSizeError",
     "kdv_soliton_norm_derivative",
     "gegenbauer_terms",
     "gegenbauer_verdict",
@@ -54,11 +55,6 @@ __all__ = [
 
 _SERIES_CAP = 400          # hard cap on coefficient sums in n
 _SERIES_REL_FLOOR = 1e-18  # stop once the next term is this small relatively
-_REL_STEPS = (1e-3, 1e-4)  # Richardson steps relative to |c|, coarse then fine
-
-
-class StepSizeError(RuntimeError):
-    """Richardson derivatives at the two step sizes disagree."""
 
 
 @dataclass(frozen=True)
@@ -217,7 +213,8 @@ def gegenbauer_verdict(spec: GegenbauerSeriesSpec, jmax: int = 200) -> Stability
 def _csch_sums(K: float, Kprime: float):
     """S2 = sum_{n != 0} n^2 csch^2(n pi K'/K) and S3 with the extra n coth.
 
-    Cached: the frozen-L derivative revisits the fixed-flux members.
+    With tau = pi K'/K, dS2/dtau = -2 S3.  Cached: both modes of a member
+    read the same sums.
     """
     ratio = math.pi * Kprime / K
     s2 = s3 = 0.0
@@ -275,24 +272,6 @@ def cn4_ell2_norm_sq(gamma: float, c: float) -> float:
             * _CN4_SERIES)
 
 
-def _richardson(f, x: float, h: float) -> float:
-    d1 = (f(x + h) - f(x - h)) / (2.0 * h)
-    d2 = (f(x + 0.5 * h) - f(x - 0.5 * h)) / h
-    return (4.0 * d2 - d1) / 3.0
-
-
-def _richardson_checked(f, x: float, rel_steps=_REL_STEPS, rel_tol: float = 1e-4) -> float:
-    """Richardson derivative at two step scales; raise if they disagree."""
-    d_coarse = _richardson(f, x, rel_steps[0] * abs(x))
-    d_fine = _richardson(f, x, rel_steps[1] * abs(x))
-    denom = max(abs(d_fine), 1e-300)
-    if abs(d_coarse - d_fine) / denom > rel_tol:
-        raise StepSizeError(
-            f"derivative at x={x!r} differs across steps: {d_coarse!r} vs {d_fine!r}"
-        )
-    return d_fine
-
-
 def _illinois(f, a: float, fa: float, b: float, fb: float) -> float:
     """Root of f between a and b, where f(a) and f(b) differ in sign.
 
@@ -331,13 +310,15 @@ def solve_flux_for_wavelength(gamma: float, alpha: float, c: float,
                               wavelength: float, flux_guess: float = 1.0) -> float:
     """Mass flux making the cn^2 wavelength equal ``wavelength`` at speed c.
 
-    The flux carries the sign of gamma (see :func:`cn2_params`), so the
-    search runs over its magnitude, starting from ``abs(flux_guess)``.
+    The inverse of the wavelength map, for callers that want the member on
+    a fixed-period curve itself; the fixed-period derivative needs no such
+    solve.  The flux carries the sign of gamma (see :func:`cn2_params`), so
+    the search runs over its magnitude, starting from ``abs(flux_guess)``.
     """
     sign = math.copysign(1.0, gamma)
 
     def objective(a):
-        return cn2_wavelength(gamma, alpha, c, sign * a) - wavelength
+        return cn2_params(gamma, alpha, c, sign * a)[0].wavelength - wavelength
 
     a = max(abs(flux_guess), 1e-12)
     fa = objective(a)
@@ -356,89 +337,70 @@ def solve_flux_for_wavelength(gamma: float, alpha: float, c: float,
     raise RuntimeError("could not bracket the fixed-period flux")
 
 
-@lru_cache(maxsize=32, typed=True)
-def _cn2_decomposition(gamma: float, alpha: float, c: float, flux_a: float) -> tuple:
-    """Mode-free terms of a cn^2 report as (name, value) pairs; cached per member."""
-    cn, ctx = cn2_params(gamma, alpha, c, flux_a)
-    L0 = cn.half_period
-
-    # frozen-L partial derivative at fixed flux, and its four-term split
-    frozen_direct = _richardson_checked(
-        lambda cc: cn2_ell2_norm_sq(gamma, alpha, cc, flux_a, half_period=L0), c)
-
-    def along_c(quantity):
-        """Fixed-flux derivative in c of quantity(cn, ctx)."""
-        return _richardson_checked(
-            lambda cc: quantity(*cn2_params(gamma, alpha, cc, flux_a)), c)
-
-    d_mk = along_c(lambda cn_c, ctx_c: cn_c.emm * ctx_c.K)
-    d_kmd = along_c(lambda cn_c, ctx_c: ctx_c.K - ctx_c.D)
-    d_emm = along_c(lambda cn_c, ctx_c: cn_c.emm)
-    d_k = along_c(lambda cn_c, ctx_c: cn_c.modulus)
-
-    k, emm = cn.modulus, cn.emm
-    h_k = 1e-6
-    dK_dk = _richardson(lambda q: EllipticContext.from_modulus(q).K, k, h_k)
-    dKp_dk = _richardson(lambda q: EllipticContext.from_modulus(q).Kprime, k, h_k)
-    s2, s3 = _csch_sums(ctx.K, ctx.Kprime)
-
-    kmd = ctx.K - ctx.D
-    term_i = (8.0 * emm * ctx.K / L0 ** 4) * kmd ** 2 * d_mk
-    term_ii = (8.0 * emm ** 2 * ctx.K ** 2 / L0 ** 4) * kmd * d_kmd
-    term_iii = (2.0 * emm * math.pi ** 4 / (L0 ** 4 * k ** 5)) * (k * d_emm - 2.0 * emm * d_k) * s2
-    term_iv = (2.0 * math.pi ** 5 / L0 ** 4) * (emm / k ** 2) ** 2 \
-        * ((ctx.Kprime * dK_dk - ctx.K * dKp_dk) / ctx.K ** 2) * d_k * s3
-
-    return (("i", term_i), ("ii", term_ii), ("iii", term_iii), ("iv", term_iv),
-            ("sum", term_i + term_ii + term_iii + term_iv), ("frozen_direct", frozen_direct),
-            ("K_minus_D", kmd), ("d_K_minus_D", d_kmd))
-
-
 def cn2_norm_derivative(gamma: float, alpha: float, c: float, flux_a: float,
                         mode: str = "fixed-flux") -> StabilityReport:
     """d/dc of the cn^2 coefficient norm plus the four-term sign decomposition.
 
-    mode "fixed-flux": differentiate with flux_a constant, the L inside the
-    norm following the wavelength.  mode "fixed-period": re-solve flux_a(c)
-    so the wavelength is constant and freeze L at it.  The decomposition
-    terms (i), (ii) (both positive), (iii) (identically zero) and (iv)
-    (positive) are the product-rule pieces of the frozen-L partial
-    derivative at fixed flux; their sum is reported next to a direct
-    frozen-L derivative as a consistency check.  They do not depend on the
-    mode and are computed once per member.
+    With m = k^2, M = 6 alpha m / gamma, G = 4 K^2 (K - D)^2 and
+    H = pi^4 S2 / k^4 the norm is N = (M^2 / L^4)(G + H); every derivative
+    below is its exact chain rule through K, D, K' and the csch sums, all
+    taken from the member's own context.
 
-    A speed so small against the wave's scale that the finest Richardson
-    step moves the discriminant 9c^2 + 24*flux_a*gamma by less than half an
-    ulp (|c| below about 1e-6 sqrt(flux_a*gamma)) is rejected: the
-    differences there are rounding noise.
+    mode "fixed-flux": differentiate with flux_a constant, the L inside the
+    norm following the wavelength, dN/dc = dN/dc|_L - 4 N d(ln L)/dc.
+    mode "fixed-period": the flux moves with c so that the wavelength stays
+    put; by the implicit-function theorem dN/dc = dN/dc|_L - dN/dA|_L
+    (d ln L/dc)/(d ln L/dA), with L frozen at the member's value.  The
+    decomposition terms (i), (ii) (both positive), (iii) (identically zero)
+    and (iv) (positive) are the product-rule pieces of the frozen-L partial
+    derivative at fixed flux; their sum is reported next to that partial
+    ("frozen_direct") as a consistency check.  They do not depend on the
+    mode.
     """
     if mode not in ("fixed-flux", "fixed-period"):
         raise ValueError(f"unknown mode {mode!r}")
-    if c == 0.0:
-        raise ValueError(f"the {KDV_CNOIDAL} norm derivative needs c != 0: "
-                         "its Richardson steps are relative to |c|")
-    cn = cn2_params(gamma, alpha, c, flux_a)[0]
-    # between c - h/2 and c + h/2 the discriminant moves by 18|c|h exactly;
-    # below half an ulp the rounded discriminants can coincide
-    h = _REL_STEPS[-1] * abs(c)
-    if 18.0 * abs(c) * h < 0.5 * math.ulp(cn.delta):
-        raise ValueError(
-            f"the {KDV_CNOIDAL} norm derivative cannot resolve c = {c!r} against "
-            f"24*flux_a*gamma = {24.0 * flux_a * gamma!r}: its finest Richardson step "
-            f"{h:.3g} moves the discriminant {cn.delta!r} by less than half an ulp; "
-            "use a larger |c|")
-    L0 = cn.half_period
+    cn, ctx = cn2_params(gamma, alpha, c, flux_a)
+    k, emm, L0, delta = cn.modulus, cn.emm, cn.half_period, cn.delta
+    K, D, Kp = ctx.K, ctx.D, ctx.Kprime
+    k2 = k * k
+    kp2 = (1.0 - k) * (1.0 + k)
+    s2, s3 = _csch_sums(K, Kp)
 
+    # derivatives in k; E(k') from Legendre's relation E K' + E' K - K K' = pi/2
+    kmd = K - D
+    dK = k * kmd / kp2
+    dD = (K - (2.0 - k2) * D) / (k * kp2)
+    Ep = (0.5 * math.pi + Kp * k2 * D) / K
+    dKp = -(Ep - k2 * Kp) / (k * kp2)
+    dtau = math.pi * (K * dKp - Kp * dK) / K ** 2
+    G = 4.0 * K ** 2 * kmd ** 2
+    H = math.pi ** 4 * s2 / k2 ** 2
+    dG = 8.0 * K * kmd * (kmd * dK + K * (dK - dD))
+    dH = -math.pi ** 4 * (2.0 * s3 * dtau / k2 ** 2 + 4.0 * s2 / (k2 ** 2 * k))
+
+    # dk and d(ln L) in c and in the flux, from dm/dc = 36 A g/s^3, dm/dA = -18 c g/s^3
+    delta_32 = delta * math.sqrt(delta)
+    dk_c = 18.0 * flux_a * gamma / (k * delta_32)
+    dk_a = -9.0 * c * gamma / (k * delta_32)
+    dlnl_c = dK * dk_c / K - 4.5 * c / delta
+    dlnl_a = dK * dk_a / K - 6.0 * gamma / delta
+
+    # frozen-L partial per unit dk; M scales with k^2, so dM/M = 2 dk/k
+    scale = emm ** 2 / L0 ** 4
+    per_dk = scale * (4.0 * (G + H) / k + dG + dH)
+    frozen_direct = per_dk * dk_c
     if mode == "fixed-flux":
-        deriv = _richardson_checked(
-            lambda cc: cn2_ell2_norm_sq(gamma, alpha, cc, flux_a), c)
+        deriv = frozen_direct - 4.0 * scale * (G + H) * dlnl_c
     else:
-        def norm_fixed_period(cc):
-            a_cc = solve_flux_for_wavelength(gamma, alpha, cc, cn.wavelength,
-                                             flux_guess=flux_a)
-            return cn2_ell2_norm_sq(gamma, alpha, cc, a_cc, half_period=L0)
+        deriv = frozen_direct - per_dk * dk_a * dlnl_c / dlnl_a
 
-        deriv = _richardson_checked(norm_fixed_period, c)
+    d_emm = 2.0 * emm * dk_c / k
+    d_mk = d_emm * K + emm * dK * dk_c
+    d_kmd = (dK - dD) * dk_c
+    term_i = (8.0 * emm * K / L0 ** 4) * kmd ** 2 * d_mk
+    term_ii = (8.0 * emm ** 2 * K ** 2 / L0 ** 4) * kmd * d_kmd
+    term_iii = (2.0 * emm * math.pi ** 4 / (L0 ** 4 * k ** 5)) * (k * d_emm - 2.0 * emm * dk_c) * s2
+    term_iv = -(2.0 * math.pi ** 4 / L0 ** 4) * (emm / k2) ** 2 * dtau * dk_c * s3
 
     return StabilityReport(
         family=KDV_CNOIDAL,
@@ -447,7 +409,9 @@ def cn2_norm_derivative(gamma: float, alpha: float, c: float, flux_a: float,
         functional_i=-0.5 * L0 * deriv,
         verdict=_sign_verdict(deriv),
         mode=mode,
-        terms=dict(_cn2_decomposition(gamma, alpha, c, flux_a)),
+        terms={"i": term_i, "ii": term_ii, "iii": term_iii, "iv": term_iv,
+               "sum": term_i + term_ii + term_iii + term_iv, "frozen_direct": frozen_direct,
+               "K_minus_D": kmd, "d_K_minus_D": d_kmd},
     )
 
 

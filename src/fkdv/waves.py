@@ -53,7 +53,6 @@ __all__ = [
     "build_fifth_order_cnoidal",
     "build_profile",
     "cn2_params",
-    "cn2_wavelength",
     "cn4_wavelength",
     "conservation_residuals",
     "profile_to_csv",
@@ -245,10 +244,6 @@ def _cn2_shape(gamma: float, alpha: float, c: float,
     return delta, sqrt_delta, amp, modulus
 
 
-def _cn2_wavelength(alpha: float, delta: float, K: float) -> float:
-    return 4.0 * math.sqrt(3.0 * alpha) * K / delta ** 0.25
-
-
 @lru_cache(maxsize=256, typed=True)
 def cn2_params(gamma: float, alpha: float, c: float,
                flux_a: float) -> tuple[CnoidalParams, EllipticContext]:
@@ -258,11 +253,12 @@ def cn2_params(gamma: float, alpha: float, c: float,
     modulus exceeds 1 (or the amplitude has the wrong sign), and the
     flux_a -> 0 limit drives the modulus to 1, which is rejected as
     degenerate.  Also returns the elliptic context of the modulus.  Cached
-    (Richardson derivatives revisit members); both values are immutable.
+    (profile building and both stability modes read the same member); both
+    values are immutable.
     """
     delta, sqrt_delta, amp, modulus = _cn2_shape(gamma, alpha, c, flux_a)
     ctx = EllipticContext.from_modulus(modulus)
-    wavelength = _cn2_wavelength(alpha, delta, ctx.K)
+    wavelength = 4.0 * math.sqrt(3.0 * alpha) * ctx.K / delta ** 0.25
     cn_params = CnoidalParams(
         delta=delta,
         amplitude=amp,
@@ -272,12 +268,6 @@ def cn2_params(gamma: float, alpha: float, c: float,
         half_period=wavelength / 2.0,
     )
     return cn_params, ctx
-
-
-def cn2_wavelength(gamma: float, alpha: float, c: float, flux_a: float) -> float:
-    """Wavelength of the cn^2 wave, ``cn2_params(...)[0].wavelength`` from K alone."""
-    delta, _, _, modulus = _cn2_shape(gamma, alpha, c, flux_a)
-    return _cn2_wavelength(alpha, delta, complete_K(modulus))
 
 
 def build_kdv_cnoidal(gamma: float, alpha: float, c: float, flux_a: float,

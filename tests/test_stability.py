@@ -1,7 +1,9 @@
 import math
 import struct
 from fractions import Fraction
+from functools import lru_cache
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -51,6 +53,132 @@ def b_j_exact(j: int) -> Fraction:
     num = (Fraction(1680) * Fraction(4 * j + 11, 2) * Fraction(j + 1) ** 2
            * Fraction(2 * j + 9, 2) ** 2 * math.factorial(2 * j))
     return num / (bracket * math.factorial(2 * j + 10))
+
+
+# ---------------------------------------------------------------------------
+# Richardson oracle: the cn^2 derivatives by extrapolated central differences
+# ---------------------------------------------------------------------------
+
+_REL_STEPS = (1e-3, 1e-4)  # Richardson steps relative to |c|, coarse then fine
+
+
+class StepSizeError(RuntimeError):
+    """Richardson derivatives at the two step sizes disagree."""
+
+
+def _richardson(f, x: float, h: float) -> float:
+    d1 = (f(x + h) - f(x - h)) / (2.0 * h)
+    d2 = (f(x + 0.5 * h) - f(x - 0.5 * h)) / h
+    return (4.0 * d2 - d1) / 3.0
+
+
+def _richardson_checked(f, x: float, rel_steps=_REL_STEPS, rel_tol: float = 1e-4) -> float:
+    """Richardson derivative at two step scales; raise if they disagree."""
+    d_coarse = _richardson(f, x, rel_steps[0] * abs(x))
+    d_fine = _richardson(f, x, rel_steps[1] * abs(x))
+    denom = max(abs(d_fine), 1e-300)
+    if abs(d_coarse - d_fine) / denom > rel_tol:
+        raise StepSizeError(
+            f"derivative at x={x!r} differs across steps: {d_coarse!r} vs {d_fine!r}"
+        )
+    return d_fine
+
+
+def richardson_report(gamma, alpha, c, flux_a, mode):
+    """(norm_derivative, functional_i, terms) of a cn^2 member by Richardson differences.
+
+    Fixed-period re-solves the flux at every Richardson speed; the terms are
+    the product-rule pieces with each factor's derivative taken numerically.
+    """
+    cn, ctx = cn2_params(gamma, alpha, c, flux_a)
+    L0 = cn.half_period
+    if mode == "fixed-flux":
+        deriv = _richardson_checked(lambda cc: cn2_ell2_norm_sq(gamma, alpha, cc, flux_a), c)
+    else:
+        def norm_fixed_period(cc):
+            a_cc = solve_flux_for_wavelength(gamma, alpha, cc, cn.wavelength, flux_guess=flux_a)
+            return cn2_ell2_norm_sq(gamma, alpha, cc, a_cc, half_period=L0)
+
+        deriv = _richardson_checked(norm_fixed_period, c)
+
+    frozen_direct = _richardson_checked(
+        lambda cc: cn2_ell2_norm_sq(gamma, alpha, cc, flux_a, half_period=L0), c)
+
+    def along_c(quantity):
+        return _richardson_checked(lambda cc: quantity(*cn2_params(gamma, alpha, cc, flux_a)), c)
+
+    d_mk = along_c(lambda cn_c, ctx_c: cn_c.emm * ctx_c.K)
+    d_kmd = along_c(lambda cn_c, ctx_c: ctx_c.K - ctx_c.D)
+    d_emm = along_c(lambda cn_c, ctx_c: cn_c.emm)
+    d_k = along_c(lambda cn_c, ctx_c: cn_c.modulus)
+    k, emm = cn.modulus, cn.emm
+    dK_dk = _richardson(lambda q: EllipticContext.from_modulus(q).K, k, 1e-6)
+    dKp_dk = _richardson(lambda q: EllipticContext.from_modulus(q).Kprime, k, 1e-6)
+    s2, s3 = stability._csch_sums(ctx.K, ctx.Kprime)
+    kmd = ctx.K - ctx.D
+    term_i = (8.0 * emm * ctx.K / L0 ** 4) * kmd ** 2 * d_mk
+    term_ii = (8.0 * emm ** 2 * ctx.K ** 2 / L0 ** 4) * kmd * d_kmd
+    term_iii = (2.0 * emm * math.pi ** 4 / (L0 ** 4 * k ** 5)) * (k * d_emm - 2.0 * emm * d_k) * s2
+    term_iv = (2.0 * math.pi ** 5 / L0 ** 4) * (emm / k ** 2) ** 2 \
+        * ((ctx.Kprime * dK_dk - ctx.K * dKp_dk) / ctx.K ** 2) * d_k * s3
+    terms = {"i": term_i, "ii": term_ii, "iii": term_iii, "iv": term_iv,
+             "sum": term_i + term_ii + term_iii + term_iv, "frozen_direct": frozen_direct,
+             "K_minus_D": kmd, "d_K_minus_D": d_kmd}
+    return deriv, -0.5 * L0 * deriv, terms
+
+
+# ---------------------------------------------------------------------------
+# mpmath oracle: the cn^2 norm in 50 digits, differentiated by central differences
+# ---------------------------------------------------------------------------
+
+def _mp_member(gamma, alpha, c, flux_a):
+    """m = k^2, K, E, K', L and M of a cn^2 member, from the float inputs exactly."""
+    gamma, alpha, c, flux_a = map(mp.mpf, (gamma, alpha, c, flux_a))
+    delta = 9 * c * c + 24 * flux_a * gamma
+    s = mp.sqrt(delta)
+    m = (3 * c + s) / (2 * s)
+    K = mp.ellipk(m)
+    L = 2 * mp.sqrt(3 * alpha) * K / mp.root(delta, 4)
+    return m, K, mp.ellipe(m), mp.ellipk(1 - m), L, 6 * alpha * m / gamma
+
+
+def _mp_norm(gamma, alpha, c, flux_a, L=None):
+    m, K, E, Kp, L_member, M = _mp_member(gamma, alpha, c, flux_a)
+    L = L_member if L is None else L
+    tau = mp.pi * Kp / K
+    s2, n = mp.mpf(0), 1
+    while True:
+        t = n * n * mp.csch(n * tau) ** 2
+        s2 += t
+        if t < mp.mpf(10) ** -60 * s2:
+            break
+        n += 1
+    kmd = K - (K - E) / m
+    return M ** 2 / L ** 4 * (4 * K ** 2 * kmd ** 2 + mp.pi ** 4 * 2 * s2 / m ** 2)
+
+
+@lru_cache(maxsize=None)
+def mpmath_derivatives(gamma, alpha, c, flux_a):
+    """d/dc of the cn^2 norm at fixed flux, at fixed period and at frozen L, in 50 digits.
+
+    Fixed period solves the wavelength equation for the flux with findroot
+    at each speed of the central difference.
+    """
+    with mp.workdps(50):
+        h = mp.mpf("1e-15")
+        c0 = mp.mpf(c)
+        L0 = _mp_member(gamma, alpha, c0, flux_a)[4]
+
+        def central(f):
+            return (f(c0 + h) - f(c0 - h)) / (2 * h)
+
+        def fixed_period(cc):
+            a = mp.findroot(lambda a: _mp_member(gamma, alpha, cc, a)[4] - L0, mp.mpf(flux_a))
+            return _mp_norm(gamma, alpha, cc, a, L=L0)
+
+        return (float(central(lambda cc: _mp_norm(gamma, alpha, cc, flux_a))),
+                float(central(fixed_period)),
+                float(central(lambda cc: _mp_norm(gamma, alpha, cc, flux_a, L=L0))))
 
 
 class TestKdvSolitonNorm:
@@ -166,6 +294,17 @@ class TestGegenbauerVerdict:
         assert time.perf_counter() - start < 1.0
 
 
+def assert_matches_mpmath(gamma, alpha, c, flux_a, mode, rel=1e-12):
+    """A "stable" report whose derivative is the 50-digit value to ``rel``."""
+    fixed_flux, fixed_period, frozen = mpmath_derivatives(gamma, alpha, c, flux_a)
+    rep = cn2_norm_derivative(gamma, alpha, c, flux_a, mode=mode)
+    assert rep.verdict == "stable"
+    expected = fixed_flux if mode == "fixed-flux" else fixed_period
+    assert rep.norm_derivative == pytest.approx(expected, rel=rel)
+    assert rep.terms["frozen_direct"] == pytest.approx(frozen, rel=rel)
+    assert rep.terms["sum"] == pytest.approx(frozen, rel=rel)
+
+
 class TestCn2Derivative:
     @pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("mode", ["fixed-flux", "fixed-period"])
@@ -187,7 +326,7 @@ class TestCn2Derivative:
     @pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
     def test_decomposition_consistency(self, c):
         terms = cn2_norm_derivative(1.0, 1.0, c, 1.0).terms
-        assert terms["sum"] == pytest.approx(terms["frozen_direct"], rel=1e-5)
+        assert terms["sum"] == pytest.approx(terms["frozen_direct"], rel=1e-12)
 
     @pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
     def test_K_minus_D_grows(self, c):
@@ -199,20 +338,19 @@ class TestCn2Derivative:
         with pytest.raises(ValueError):
             cn2_norm_derivative(1.0, 1.0, 1.0, 1.0, mode="frozen")
 
-    # the Richardson steps are relative to |c|, so c = 0 gave ZeroDivisionError
+    # c = 0 was rejected while the derivative was a Richardson difference
+    # with steps relative to |c|; the closed form judges it
     @pytest.mark.parametrize("mode", ["fixed-flux", "fixed-period"])
     @pytest.mark.parametrize("c", [0.0, -0.0])
     def test_zero_speed_rejected(self, c, mode):
-        with pytest.raises(ValueError, match="kdv-cnoidal norm derivative needs c != 0"):
-            cn2_norm_derivative(1.0, 1.0, c, 1.0, mode=mode)
+        assert_matches_mpmath(1.0, 1.0, c, 1.0, mode)
 
-    # the finest Richardson step left the member unchanged: derivative 0.0
-    # and "not-stable-hypotheses" at 1e-300, StepSizeError at 1e-12 and 1e-7
+    # speeds whose Richardson steps fell below half an ulp of the
+    # discriminant were rejected; the closed form judges them
     @pytest.mark.parametrize("mode", ["fixed-flux", "fixed-period"])
     @pytest.mark.parametrize("c", [1e-300, 1e-12, -1e-12, 1e-7])
     def test_unresolvable_speed_rejected(self, c, mode):
-        with pytest.raises(ValueError, match="cannot resolve c = .* less than half an ulp"):
-            cn2_norm_derivative(1.0, 1.0, c, 1.0, mode=mode)
+        assert_matches_mpmath(1.0, 1.0, c, 1.0, mode)
 
     @pytest.mark.parametrize("mode", ["fixed-flux", "fixed-period"])
     @pytest.mark.parametrize("c", [1e-3, -1e-3, 5e-6])
@@ -226,7 +364,6 @@ class TestCn2Derivative:
         assert cn2_norm_derivative(1.0, 1.0, -0.7, 1.0, mode=mode).verdict == "stable"
 
     def test_step_size_disagreement_raises(self):
-        from fkdv.stability import StepSizeError, _richardson_checked
         # a fast jitter makes the two step scales disagree violently
         noisy = lambda x: x * x + 1e-5 * math.sin(1e7 * x)
         with pytest.raises(StepSizeError):
@@ -271,6 +408,51 @@ class TestCn2Derivative:
         assert neg == -pos
 
 
+class TestCn2ClosedForm:
+    # k from 0.009 (c = -20) to 1 - 1.3e-4 (c = 5), c = 0 and a speed far
+    # below the wave's scale
+    MPMATH_POINTS = [(1.0, 1.0), (1.7, 0.4), (-0.7, 1.0), (-3.0, 0.1), (-20.0, 0.05),
+                     (5.0, 0.01), (0.0, 1.0), (1e-300, 1.0)]
+
+    @pytest.mark.parametrize("mode", ["fixed-flux", "fixed-period"])
+    @pytest.mark.parametrize("c,flux", MPMATH_POINTS)
+    def test_matches_mpmath(self, c, flux, mode):
+        assert_matches_mpmath(1.0, 1.0, c, flux, mode)
+
+    def test_zero_speed_values(self):
+        fixed_flux, fixed_period, _ = mpmath_derivatives(1.0, 1.0, 0.0, 1.0)
+        assert fixed_flux == pytest.approx(2.23857, abs=5e-6)
+        assert fixed_period == pytest.approx(3.35786, abs=5e-6)
+
+    @pytest.mark.parametrize("mode", ["fixed-flux", "fixed-period"])
+    def test_matches_richardson_oracle(self, mode):
+        rng = np.random.default_rng(20)
+        for _ in range(100):
+            gamma = float(rng.choice([1.0, -1.0, 2.0]))
+            c = float(rng.uniform(-3.0, 5.0))
+            flux = math.copysign(float(rng.uniform(0.05, 3.0)), gamma)
+            rep = cn2_norm_derivative(gamma, 1.0, c, flux, mode=mode)
+            deriv, functional_i, terms = richardson_report(gamma, 1.0, c, flux, mode)
+            where = (gamma, c, flux, mode)
+            assert rep.norm_derivative == pytest.approx(deriv, rel=1e-8), where
+            assert rep.functional_i == pytest.approx(functional_i, rel=1e-8), where
+            assert rep.verdict == ("stable" if deriv > 0.0 else "not-stable-hypotheses")
+            # the oracle differentiates K - D, whose D = (K - E)/k^2 carries
+            # about eps K/k^2 of rounding; its fine step 1e-4|c| lifts that to
+            # 3 eps K/(1e-4 |c| k^2), which passes 1e-8 of d(K - D)/dc at small k
+            # or |c| (mpmath puts the closed form within 1e-10 there)
+            cn, ctx = cn2_params(gamma, 1.0, c, flux)
+            floor = 3.0 * 2.2e-16 * ctx.K / (1e-4 * abs(c) * cn.modulus ** 2)
+            kmd_rel = 1e-8 + floor / abs(rep.terms["d_K_minus_D"])
+            for name, expected in terms.items():
+                got = rep.terms[name]
+                if name == "iii":  # zero up to rounding in both
+                    assert abs(got - expected) <= 1e-8 * rep.terms["frozen_direct"], where
+                else:
+                    rel = kmd_rel if name in ("ii", "d_K_minus_D") else 1e-8
+                    assert got == pytest.approx(expected, rel=rel), (name, where)
+
+
 def report_bits(rep):
     """Every field of a report, floats (also inside ``terms``) as their bits."""
     def bits(v):
@@ -282,7 +464,6 @@ def report_bits(rep):
 
 def clear_cn2_caches():
     cn2_params.cache_clear()
-    stability._cn2_decomposition.cache_clear()
     stability._csch_sums.cache_clear()
     EllipticContext.from_modulus.cache_clear()
 
@@ -306,13 +487,14 @@ class TestCn2Cache:
                 assert report_bits(cn2_norm_derivative(*point, mode=mode)) == cold[mode]
 
     @pytest.mark.parametrize("point", POINTS)
-    def test_warm_decomposition_alone_gives_the_cold_report(self, point):
-        # members evicted, mode-free terms kept: the report must not change
+    def test_terms_equal_cold_and_warm(self, point):
+        # the terms are mode-free: one member gives the same bits in both modes
+        clear_cn2_caches()
+        cold = report_bits(cn2_norm_derivative(*point, mode="fixed-flux"))["terms"]
         for mode in self.MODES:
+            assert report_bits(cn2_norm_derivative(*point, mode=mode))["terms"] == cold
             clear_cn2_caches()
-            cold = report_bits(cn2_norm_derivative(*point, mode=mode))
-            cn2_params.cache_clear()
-            assert report_bits(cn2_norm_derivative(*point, mode=mode)) == cold
+            assert report_bits(cn2_norm_derivative(*point, mode=mode))["terms"] == cold
 
     @staticmethod
     def count_contexts(monkeypatch):
@@ -326,16 +508,15 @@ class TestCn2Cache:
         clear_cn2_caches()
         built = self.count_contexts(monkeypatch)
         cn2_norm_derivative(1.0, 1.0, 1.0, 1.0, mode="fixed-flux")
-        # 8 Richardson speeds plus the centre member, and 8 moduli for dK/dk, dK'/dk
-        assert len(built) <= 17
+        # the member's own context gives every derivative
+        assert len(built) <= 1
 
-    def test_fixed_period_after_fixed_flux_builds_one_context_per_speed(self, monkeypatch):
+    def test_fixed_period_after_fixed_flux_builds_no_context(self, monkeypatch):
         clear_cn2_caches()
         cn2_norm_derivative(1.0, 1.0, 1.0, 1.0, mode="fixed-flux")
         built = self.count_contexts(monkeypatch)
         cn2_norm_derivative(1.0, 1.0, 1.0, 1.0, mode="fixed-period")
-        # the flux search reads K alone; only the 8 solved members need a context
-        assert len(built) <= 8
+        assert built == []
 
     def test_rejected_members_are_not_cached(self):
         cn2_params.cache_clear()

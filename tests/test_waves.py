@@ -15,12 +15,17 @@ from fkdv.waves import (
     build_kdv_soliton,
     build_profile,
     cn2_params,
-    cn2_wavelength,
     conservation_residuals,
     profile_to_csv,
     write_csv,
 )
-from fkdv.waves import _CHOP, _spectral_derivatives
+from fkdv.waves import _CHOP, _cn2_shape, _spectral_derivatives
+
+
+def cn2_wavelength(gamma, alpha, c, flux_a):
+    """Wavelength of the cn^2 wave from K alone, without an elliptic context."""
+    delta, _, _, modulus = _cn2_shape(gamma, alpha, c, flux_a)
+    return 4.0 * math.sqrt(3.0 * alpha) * complete_K(modulus) / delta ** 0.25
 
 
 def all_four_profiles():
