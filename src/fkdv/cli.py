@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import re
 import sys
 
@@ -131,6 +132,15 @@ def _check_args(args):
                                 ("--jmax", getattr(args, "jmax", 1), 1, _JMAX_CAP)):
         if not lo <= value <= hi:
             raise ValueError(f"{flag} must lie in [{lo}, {hi}], got {value}")
+    if args.command == "stability":
+        args.speeds = ([float(s) for s in args.c_grid.split(",")] if args.c_grid
+                       else [args.c])
+    for flag, value in (("--gamma", args.gamma), ("--alpha", args.alpha),
+                        ("--beta", args.beta), ("--c", args.c), ("--A", args.flux_a),
+                        ("--C", args.cee),
+                        *(("--c-grid", c) for c in getattr(args, "speeds", ()))):
+        if not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value!r}")
     grid_n = getattr(args, "grid_n", 0)
     if grid_n and not (0 < grid_n <= _GRID_CAP and grid_n & (grid_n - 1) == 0):
         raise ValueError(f"--gridN must be a power of two up to {_GRID_CAP} "
@@ -213,11 +223,17 @@ def cmd_verify(args) -> int:
             failures.append(f"coefficient mismatch: worst floored rel err {worst:.3e}")
         print(f"coefficients: worst floored rel err {worst:.3e} over n <= {nmax}")
 
-        report = fourier.pf2_check(fourier.analytic_coeffs(profile, 2 * nmax), window=nmax)
+        # a member of negative amplitude mirrors a positive one, (u, gamma) ->
+        # (-u, -gamma) or for cn^4 (u, c, beta, xi) -> (-u, -c, -beta, -xi),
+        # whose coefficients are exactly the negated ones
+        sign = math.copysign(1.0, profile.amplitude)
+        report = fourier.pf2_check(sign * fourier.analytic_coeffs(profile, 2 * nmax).two_sided(),
+                                   window=nmax)
         pf2 = f"min minor {report.min_minor:.3e}, tolerance {report.tolerance:.3e}"
         if not report.passed:
             failures.append(f"PF(2) {pf2}")
-        print(f"PF(2): {pf2} ({'ok' if report.passed else 'FAIL'})")
+        mirrored = " of the mirrored sequence -u_hat" if sign < 0.0 else ""
+        print(f"PF(2){mirrored}: {pf2} ({'ok' if report.passed else 'FAIL'})")
 
     if failures:
         print(f"FAIL: {failures[0]}")
@@ -227,9 +243,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_stability(args) -> int:
-    speeds = [float(s) for s in args.c_grid.split(",")] if args.c_grid else [args.c]
     reports = stability.family_reports(args.family, args.gamma, args.alpha, args.beta,
-                                       speeds, args.flux_a, args.mode, args.jmax)
+                                       args.speeds, args.flux_a, args.mode, args.jmax)
     stability.reports_to_csv(reports, f"{args.out}_stability.csv")
     for rep in reports:
         if rep.series is not None:

@@ -57,10 +57,6 @@ class AliasingWarning(UserWarning):
     pass
 
 
-def _csch(x: float) -> float:
-    return 1.0 / math.sinh(x)
-
-
 @dataclass(frozen=True, eq=False)
 class CoeffSequence:
     """Symmetric cosine-coefficient sequence indexed by n in [-n_max, n_max].
@@ -89,22 +85,28 @@ class CoeffSequence:
         return np.concatenate([self.values[:0:-1], self.values])
 
 
-def cn2_coeffs(cn: CnoidalParams, n_max: int) -> CoeffSequence:
-    """Analytic coefficients of the cn^2 cnoidal profile."""
+def _csch_series(head: float, pref: float, ratio: float, power: int,
+                 n_max: int) -> CoeffSequence:
+    """u_hat(0) = head, u_hat(n) = pref n^power csch(n ratio) for 1 <= n <= n_max."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    ctx = EllipticContext.from_modulus(cn.modulus)
-    L = cn.half_period
     vals = np.zeros(n_max + 1)
-    vals[0] = (2.0 * cn.emm * ctx.K / L ** 2) * (ctx.K - ctx.D)
-    ratio = math.pi * ctx.Kprime / ctx.K
-    pref = cn.emm * math.pi ** 2 / (L ** 2 * cn.modulus ** 2)
+    vals[0] = head
     for n in range(1, n_max + 1):
         x = n * ratio
         if x > CSCH_OVERFLOW:
             break
-        vals[n] = pref * n * _csch(x)
+        vals[n] = pref * n ** power * (1.0 / math.sinh(x))
     return CoeffSequence(values=vals)
+
+
+def cn2_coeffs(cn: CnoidalParams, n_max: int) -> CoeffSequence:
+    """Analytic coefficients of the cn^2 cnoidal profile."""
+    ctx = EllipticContext.from_modulus(cn.modulus)
+    L = cn.half_period
+    return _csch_series((2.0 * cn.emm * ctx.K / L ** 2) * (ctx.K - ctx.D),
+                        cn.emm * math.pi ** 2 / (L ** 2 * cn.modulus ** 2),
+                        math.pi * ctx.Kprime / ctx.K, 1, n_max)
 
 
 def cn4_coeffs_halfmodulus(profile: WaveProfile, n_max: int) -> CoeffSequence:
@@ -112,18 +114,10 @@ def cn4_coeffs_halfmodulus(profile: WaveProfile, n_max: int) -> CoeffSequence:
     if profile.family != FIFTH_CNOIDAL:
         raise ValueError("half-modulus cn^4 coefficients are defined for the "
                          f"{FIFTH_CNOIDAL!r} family only")
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
     p = profile.params
-    vals = np.zeros(n_max + 1)
-    vals[0] = 5.0 * p.c / (6.0 * p.gamma)
-    pref = 5.0 * p.c * math.pi ** 4 / (6.0 * p.gamma * CN4_K ** 4)
-    for n in range(1, n_max + 1):
-        x = n * math.pi
-        if x > CSCH_OVERFLOW:
-            break
-        vals[n] = pref * n ** 3 * _csch(x)
-    return CoeffSequence(values=vals)
+    return _csch_series(5.0 * p.c / (6.0 * p.gamma),
+                        5.0 * p.c * math.pi ** 4 / (6.0 * p.gamma * CN4_K ** 4),
+                        math.pi, 3, n_max)
 
 
 def analytic_coeffs(profile: WaveProfile, n_max: int) -> CoeffSequence:

@@ -35,7 +35,7 @@ import numpy as np
 
 from .elliptic import CSCH_OVERFLOW
 from .waves import (CN4_K, FIFTH_CNOIDAL, FIFTH_SOLITON, KDV_CNOIDAL, KDV_SOLITON,
-                    cn2_params, cn4_wavelength, write_csv)
+                    cn2_params, cn4_wavelength, family_member, write_csv)
 
 __all__ = [
     "GegenbauerSeriesSpec",
@@ -441,8 +441,15 @@ def family_reports(family: str, gamma: float, alpha: float, beta: float, speeds,
 
     ``mode`` "both" evaluates the cn^2 derivative in both readings.  The
     sech^4 soliton's speed is pinned by the medium, so it gives the single
-    Gegenbauer report whatever ``speeds`` holds.
+    Gegenbauer report whatever ``speeds`` holds.  Every speed's member is
+    validated by :func:`waves.family_member` first, so a member that the
+    builder rejects gets its error, not a verdict.
     """
+    speeds = list(speeds)
+    if not speeds:
+        raise ValueError("stability reports need at least one speed")
+    for c in speeds:
+        family_member(family, gamma, alpha, beta, c, flux_a)
     if family == FIFTH_SOLITON:
         return [gegenbauer_verdict(GegenbauerSeriesSpec(gamma_coef=gamma), jmax=jmax)]
     if family == KDV_SOLITON:
@@ -453,9 +460,7 @@ def family_reports(family: str, gamma: float, alpha: float, beta: float, speeds,
         modes = ("fixed-flux", "fixed-period") if mode == "both" else (mode,)
         return [cn2_norm_derivative(gamma, alpha, c, flux_a, mode=m)
                 for c in speeds for m in modes]
-    if family == FIFTH_CNOIDAL:
-        return [cn4_norm_derivative(gamma, beta, c) for c in speeds]
-    raise ValueError(f"unknown family {family!r}")
+    return [cn4_norm_derivative(gamma, beta, c) for c in speeds]
 
 
 def reports_to_csv(reports, path=None) -> str:

@@ -12,6 +12,13 @@ Four families are built here:
 * ``fifth-cnoidal``  u = (5c/2g) cn^4( (sqrt2/2)(c/42b)^{1/4} xi; sqrt2/2 ),
   modulus pinned at sqrt2/2 (alpha = 0).
 
+Each family has one member function with the signature (gamma, alpha, beta,
+c, flux_a).  It states where a member exists, rejecting any other with a
+ValueError, and returns the member's parameters, amplitude, width and
+closed-form evaluator.  ``FAMILIES`` maps each family name to it;
+``family_member`` looks a family up and validates, and ``build_profile``
+(with the four public builders on top) is that lookup plus one sampler.
+
 Every profile satisfies the first integral of the traveling ODE,
 
     -c u + (g/2) u^2 + a u_xixi - b u_xixixixi = A_flux,
@@ -52,6 +59,7 @@ __all__ = [
     "build_kdv_cnoidal",
     "build_fifth_order_cnoidal",
     "build_profile",
+    "family_member",
     "cn2_params",
     "cn4_wavelength",
     "conservation_residuals",
@@ -63,7 +71,6 @@ FIFTH_SOLITON = "fifth-soliton"
 KDV_SOLITON = "kdv-soliton"
 KDV_CNOIDAL = "kdv-cnoidal"
 FIFTH_CNOIDAL = "fifth-cnoidal"
-FAMILIES = (FIFTH_SOLITON, KDV_SOLITON, KDV_CNOIDAL, FIFTH_CNOIDAL)
 
 # moduli above 1 - 1e-10 degenerate toward the solitary (sech) limit and the
 # AGM loses the distinction between k and 1
@@ -148,82 +155,40 @@ class WaveProfile:
         return float(-self.xi[0])
 
 
-def _solitary_grid(half_width: float, n_samples: int) -> np.ndarray:
-    if n_samples < 64:
-        raise ValueError("need at least 64 samples for a solitary profile")
-    if n_samples % 2 == 0:
-        n_samples += 1  # keep xi = 0 on the grid
-    return np.linspace(-half_width, half_width, n_samples)
-
-
-def _periodic_grid(half_period: float, n_samples: int) -> np.ndarray:
-    if n_samples < 64:
-        raise ValueError("need at least 64 samples for a periodic profile")
-    return -half_period + np.arange(n_samples) * (2.0 * half_period / n_samples)
-
-
-def build_fifth_order_soliton(gamma: float, alpha: float, beta: float,
-                              n_samples: int = 2049) -> WaveProfile:
-    """sech^4 soliton of the full fifth-order equation; speed 36 a^2/169 b."""
+def _check_gamma(gamma: float) -> None:
     if gamma == 0.0:
         raise ValueError("gamma must be nonzero")
+
+
+def _fifth_soliton(gamma, alpha, beta, c, flux_a):
+    """sech^4 member; its speed 36 a^2/169 b is pinned, so ``c`` is not read."""
+    _check_gamma(gamma)
     if alpha <= 0.0 or beta <= 0.0:
         raise ValueError("the sech^4 soliton needs alpha > 0 and beta > 0")
     amp = 105.0 * alpha ** 2 / (169.0 * gamma * beta)
     s = 0.5 * math.sqrt(alpha / (13.0 * beta))
-    c = 36.0 * alpha ** 2 / (169.0 * beta)
+    params = MediumParams(gamma=gamma, alpha=alpha, beta=beta,
+                          c=36.0 * alpha ** 2 / (169.0 * beta))
     width = 2.0 * math.sqrt(13.0 * beta / alpha)
-
-    def evaluator(xi):
-        return amp / np.cosh(s * xi) ** 4
-
-    xi = _solitary_grid(_SOLITARY_WIDTHS * width, n_samples)
-    return WaveProfile(
-        family=FIFTH_SOLITON,
-        params=MediumParams(gamma=gamma, alpha=alpha, beta=beta, c=c),
-        cnoidal=None,
-        amplitude=amp,
-        xi=xi,
-        u=evaluator(xi),
-        periodic=False,
-        _evaluator=evaluator,
-        width=width,
-    )
+    return params, None, amp, width, lambda xi: amp / np.cosh(s * xi) ** 4
 
 
-def build_kdv_soliton(gamma: float, alpha: float, c: float,
-                      n_samples: int = 2049) -> WaveProfile:
-    """sech^2 KdV soliton (beta = 0); right-moving for alpha > 0, left for alpha < 0."""
-    if gamma == 0.0:
-        raise ValueError("gamma must be nonzero")
+def _kdv_soliton(gamma, alpha, beta, c, flux_a):
+    """sech^2 member of the KdV limit (beta = 0)."""
+    _check_gamma(gamma)
     if alpha == 0.0 or c / alpha <= 0.0:
         raise ValueError("the sech^2 soliton needs c/alpha > 0")
     amp = 3.0 * c / gamma
     s = 0.5 * math.sqrt(c / alpha)
+    params = MediumParams(gamma=gamma, alpha=alpha, beta=0.0, c=c)
     width = 2.0 * math.sqrt(alpha / c)
-
-    def evaluator(xi):
-        return amp / np.cosh(s * xi) ** 2
-
-    xi = _solitary_grid(_SOLITARY_WIDTHS * width, n_samples)
-    return WaveProfile(
-        family=KDV_SOLITON,
-        params=MediumParams(gamma=gamma, alpha=alpha, beta=0.0, c=c),
-        cnoidal=None,
-        amplitude=amp,
-        xi=xi,
-        u=evaluator(xi),
-        periodic=False,
-        _evaluator=evaluator,
-        width=width,
-    )
+    return params, None, amp, width, lambda xi: amp / np.cosh(s * xi) ** 2
 
 
 def _cn2_shape(gamma: float, alpha: float, c: float,
                flux_a: float) -> tuple[float, float, float, float]:
     """Discriminant, its square root, amplitude and modulus; see :func:`cn2_params`."""
-    if gamma == 0.0:
-        raise ValueError("gamma must be nonzero")
+    _check_gamma(gamma)
     if alpha <= 0.0:
         raise ValueError("cnoidal construction restricted to alpha > 0")
     if flux_a * gamma < 0.0:
@@ -270,6 +235,89 @@ def cn2_params(gamma: float, alpha: float, c: float,
     return cn_params, ctx
 
 
+def _kdv_cnoidal(gamma, alpha, beta, c, flux_a):
+    """cn^2 member of the KdV limit (beta = 0); see :func:`cn2_params`."""
+    cn, _ = cn2_params(gamma, alpha, c, flux_a)
+    amp, modulus = cn.amplitude, cn.modulus
+    b = cn.delta ** 0.25 / (2.0 * math.sqrt(3.0 * alpha))
+    params = MediumParams(gamma=gamma, alpha=alpha, beta=0.0, c=c, flux_a=flux_a)
+    return params, cn, amp, cn.wavelength, lambda xi: amp * jacobi_cn(b * xi, modulus) ** 2
+
+
+def cn4_wavelength(beta: float, c: float) -> float:
+    """Wavelength 2 sqrt2 (42 beta/c)^{1/4} K(sqrt2/2) of the cn^4 wave."""
+    return 2.0 * math.sqrt(2.0) * (42.0 * beta / c) ** 0.25 * CN4_K
+
+
+def _fifth_cnoidal(gamma, alpha, beta, c, flux_a):
+    """cn^4 member of the beta-only equation (alpha = 0); its flux is forced."""
+    _check_gamma(gamma)
+    if beta == 0.0 or c / beta <= 0.0:
+        raise ValueError("the cn^4 wave needs c/beta > 0")
+    amp = 5.0 * c / (2.0 * gamma)
+    s = CN4_MODULUS * (c / (42.0 * beta)) ** 0.25
+    wavelength = cn4_wavelength(beta, c)
+    cn = CnoidalParams(delta=math.nan, amplitude=amp, modulus=CN4_MODULUS, emm=math.nan,
+                       wavelength=wavelength, half_period=wavelength / 2.0)
+    params = MediumParams(gamma=gamma, alpha=0.0, beta=beta, c=c,
+                          flux_a=-5.0 * c * c / (56.0 * gamma))
+    return params, cn, amp, wavelength, lambda xi: amp * jacobi_cn(s * xi, CN4_MODULUS) ** 4
+
+
+# Each member function takes (gamma, alpha, beta, c, flux_a), reads what its
+# family needs, rejects a member that does not exist with a ValueError, and
+# returns (MediumParams, CnoidalParams or None, amplitude, width, evaluator).
+FAMILIES = {
+    FIFTH_SOLITON: _fifth_soliton,
+    KDV_SOLITON: _kdv_soliton,
+    KDV_CNOIDAL: _kdv_cnoidal,
+    FIFTH_CNOIDAL: _fifth_cnoidal,
+}
+
+
+def family_member(family: str, gamma: float, alpha: float, beta: float, c: float,
+                  flux_a: float):
+    """Validate one member of ``family``; see :data:`FAMILIES` for what it returns."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}; expected one of {tuple(FAMILIES)}")
+    return FAMILIES[family](gamma, alpha, beta, c, flux_a)
+
+
+def build_profile(family: str, gamma: float, alpha: float, beta: float,
+                  c: float, flux_a: float, n_samples: int = 0) -> WaveProfile:
+    """Validate a member of any family and sample it; 0 samples picks the default.
+
+    A soliton is sampled over [-W, W], W = 20 widths, on an odd count (2049
+    by default) so that xi = 0 is on the grid; a cnoidal wave over one
+    wavelength, endpoint-exclusive (512 samples by default).
+    """
+    params, cnoidal, amp, width, evaluator = family_member(family, gamma, alpha, beta,
+                                                           c, flux_a)
+    periodic = cnoidal is not None
+    n = n_samples or (512 if periodic else 2049)
+    if n < 64:
+        raise ValueError(f"need at least 64 samples for a "
+                         f"{'periodic' if periodic else 'solitary'} profile")
+    if periodic:
+        xi = -cnoidal.half_period + np.arange(n) * (2.0 * cnoidal.half_period / n)
+    else:
+        xi = np.linspace(-_SOLITARY_WIDTHS * width, _SOLITARY_WIDTHS * width, n | 1)
+    return WaveProfile(family, params, cnoidal, amp, xi, evaluator(xi), periodic,
+                       evaluator, width)
+
+
+def build_fifth_order_soliton(gamma: float, alpha: float, beta: float,
+                              n_samples: int = 2049) -> WaveProfile:
+    """sech^4 soliton of the full fifth-order equation; speed 36 a^2/169 b."""
+    return build_profile(FIFTH_SOLITON, gamma, alpha, beta, 0.0, 0.0, n_samples)
+
+
+def build_kdv_soliton(gamma: float, alpha: float, c: float,
+                      n_samples: int = 2049) -> WaveProfile:
+    """sech^2 KdV soliton (beta = 0); right-moving for alpha > 0, left for alpha < 0."""
+    return build_profile(KDV_SOLITON, gamma, alpha, 0.0, c, 0.0, n_samples)
+
+
 def build_kdv_cnoidal(gamma: float, alpha: float, c: float, flux_a: float,
                       n_samples: int = 512) -> WaveProfile:
     """cn^2 cnoidal wave of the KdV limit with mass flux ``flux_a``.
@@ -278,30 +326,7 @@ def build_kdv_cnoidal(gamma: float, alpha: float, c: float, flux_a: float,
     the stability terms, which this toolkit does not admit) and
     flux_a*gamma > 0; see :func:`cn2_params`.
     """
-    cn_params, _ = cn2_params(gamma, alpha, c, flux_a)
-    amp, modulus = cn_params.amplitude, cn_params.modulus
-    b = cn_params.delta ** 0.25 / (2.0 * math.sqrt(3.0 * alpha))
-
-    def evaluator(xi):
-        return amp * jacobi_cn(b * xi, modulus) ** 2
-
-    xi = _periodic_grid(cn_params.half_period, n_samples)
-    return WaveProfile(
-        family=KDV_CNOIDAL,
-        params=MediumParams(gamma=gamma, alpha=alpha, beta=0.0, c=c, flux_a=flux_a),
-        cnoidal=cn_params,
-        amplitude=amp,
-        xi=xi,
-        u=evaluator(xi),
-        periodic=True,
-        _evaluator=evaluator,
-        width=cn_params.wavelength,
-    )
-
-
-def cn4_wavelength(beta: float, c: float) -> float:
-    """Wavelength 2 sqrt2 (42 beta/c)^{1/4} K(sqrt2/2) of the cn^4 wave."""
-    return 2.0 * math.sqrt(2.0) * (42.0 * beta / c) ** 0.25 * CN4_K
+    return build_profile(KDV_CNOIDAL, gamma, alpha, 0.0, c, flux_a, n_samples)
 
 
 def build_fifth_order_cnoidal(gamma: float, beta: float, c: float,
@@ -312,53 +337,7 @@ def build_fifth_order_cnoidal(gamma: float, beta: float, c: float,
     trough u and its first three derivatives vanish while u_xixixixi does
     not, giving flux_a = -5 c^2 / (56 gamma).
     """
-    if gamma == 0.0:
-        raise ValueError("gamma must be nonzero")
-    if beta == 0.0 or c / beta <= 0.0:
-        raise ValueError("the cn^4 wave needs c/beta > 0")
-    amp = 5.0 * c / (2.0 * gamma)
-    s = CN4_MODULUS * (c / (42.0 * beta)) ** 0.25
-    wavelength = cn4_wavelength(beta, c)
-
-    def evaluator(xi):
-        return amp * jacobi_cn(s * xi, CN4_MODULUS) ** 4
-
-    cn_params = CnoidalParams(
-        delta=float("nan"),
-        amplitude=amp,
-        modulus=CN4_MODULUS,
-        emm=float("nan"),
-        wavelength=wavelength,
-        half_period=wavelength / 2.0,
-    )
-    xi = _periodic_grid(cn_params.half_period, n_samples)
-    return WaveProfile(
-        family=FIFTH_CNOIDAL,
-        params=MediumParams(gamma=gamma, alpha=0.0, beta=beta, c=c,
-                            flux_a=-5.0 * c * c / (56.0 * gamma)),
-        cnoidal=cn_params,
-        amplitude=amp,
-        xi=xi,
-        u=evaluator(xi),
-        periodic=True,
-        _evaluator=evaluator,
-        width=cn_params.wavelength,
-    )
-
-
-def build_profile(family: str, gamma: float, alpha: float, beta: float,
-                  c: float, flux_a: float, n_samples: int = 0) -> WaveProfile:
-    """Dispatch to the family builders with a uniform signature."""
-    kw = {"n_samples": n_samples} if n_samples else {}
-    if family == FIFTH_SOLITON:
-        return build_fifth_order_soliton(gamma, alpha, beta, **kw)
-    if family == KDV_SOLITON:
-        return build_kdv_soliton(gamma, alpha, c, **kw)
-    if family == KDV_CNOIDAL:
-        return build_kdv_cnoidal(gamma, alpha, c, flux_a, **kw)
-    if family == FIFTH_CNOIDAL:
-        return build_fifth_order_cnoidal(gamma, beta, c, **kw)
-    raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    return build_profile(FIFTH_CNOIDAL, gamma, 0.0, beta, c, 0.0, n_samples)
 
 
 # ---------------------------------------------------------------------------

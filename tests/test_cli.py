@@ -83,6 +83,14 @@ class TestVerifyCommand:
         assert lines[0] == "xi,residual1,residual2"
         assert len(lines) - 1 == 2048
 
+    def test_negative_amplitude_checks_the_mirrored_sequence(self, tmp_path, capsys):
+        # (u, gamma) -> (-u, -gamma) negates every coefficient exactly, so the
+        # least minor is the gamma = A = 1 member's
+        assert run(["verify", "--family", "kdv-cnoidal", "--gamma", "-1", "--A", "-1",
+                    "--out", str(tmp_path / "v")]) == 0
+        assert ("PF(2) of the mirrored sequence -u_hat: min minor 5.337e-47, "
+                "tolerance 3.258e-14 (ok)") in capsys.readouterr().out
+
     def test_verify_prints_pf2_minor_next_to_its_tolerance(self, tmp_path, capsys):
         assert run(["verify", "--family", "fifth-cnoidal", "--out", str(tmp_path / "v")]) == 0
         (line,) = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("PF(2)")]
@@ -167,6 +175,17 @@ class TestStabilityCommand:
                     "--out", str(tmp_path / "s")])
         assert code == 1
         assert "INCONCLUSIVE" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("family, flag, value, message", [
+        ("fifth-soliton", "--alpha", "-1", "the sech^4 soliton needs alpha > 0 and beta > 0"),
+        ("kdv-soliton", "--gamma", "0", "gamma must be nonzero"),
+    ])
+    def test_member_the_builder_rejects_gets_no_verdict(self, family, flag, value, message,
+                                                         tmp_path, capsys):
+        assert run(["stability", "--family", family, flag, value,
+                    "--out", str(tmp_path / "s")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "s_stability.csv").exists()
 
     def test_jobs_flag(self, tmp_path):
         code = run(["stability", "--family", "fifth-cnoidal", "--c-grid", "0.5,1,2",
@@ -259,6 +278,18 @@ class TestValidation:
         monkeypatch.setitem(cli._COMMANDS, "stability", unreachable)
         assert run(["stability", "--family", "fifth-soliton", "--jmax", jmax]) == 2
         assert "--jmax" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("profile", "--c", "inf"), ("profile", "--gamma", "nan"),
+        ("verify", "--alpha", "-inf"), ("verify", "--beta", "nan"),
+        ("simulate", "--A", "inf"), ("simulate", "--C", "nan"),
+        ("stability", "--c", "inf"), ("stability", "--c-grid", "0.5,nan"),
+        ("stability", "--c-grid", "-inf,1"),
+    ])
+    def test_non_finite_numbers_rejected(self, command, flag, value, monkeypatch, capsys):
+        monkeypatch.setitem(cli._COMMANDS, command, unreachable)
+        assert run([command, "--family", "kdv-soliton", f"{flag}={value}"]) == 2
+        assert f"error: {flag} must be finite, got " in capsys.readouterr().err
 
     def test_record_every_zero_is_a_usage_error(self, tmp_path, capsys):
         assert run(["simulate", "--family", "kdv-soliton", "--gridN", "256",

@@ -1,4 +1,6 @@
+import itertools
 import math
+import re
 import struct
 from fractions import Fraction
 from functools import lru_cache
@@ -24,7 +26,7 @@ from fkdv.stability import (
 )
 from fkdv import stability
 from fkdv.elliptic import EllipticContext
-from fkdv.waves import build_kdv_cnoidal, build_kdv_soliton, cn2_params
+from fkdv.waves import FAMILIES, build_kdv_cnoidal, build_kdv_soliton, build_profile, cn2_params
 
 B0 = Fraction(-891, 14515200)
 
@@ -584,6 +586,31 @@ class TestFamilyReports:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             family_reports("kdv", 1.0, 1.0, 1.0, [1.0], 1.0, "both", 200)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_no_verdict_for_a_member_the_builder_rejects(self, family):
+        # every sign of every parameter; the flux reaches only cn^2
+        signs = (-1.0, 0.0, 1.0)
+        rejected = 0
+        for gamma, alpha, beta, c, flux_a in itertools.product(signs, signs, signs,
+                                                               (-1.0, 0.5), (-1.0, 1.0)):
+            args = (family, gamma, alpha, beta, [c], flux_a, "both", 200)
+            try:
+                build_profile(family, gamma, alpha, beta, c, flux_a)
+            except ValueError as exc:
+                rejected += 1
+                with pytest.raises(type(exc), match=re.escape(str(exc))):
+                    family_reports(*args)
+                continue
+            try:  # an existing member is judged, or rejected as outside the theorem
+                family_reports(*args)
+            except ValueError:
+                pass
+        assert rejected > 0
+
+    def test_empty_speed_list_rejected(self):
+        with pytest.raises(ValueError, match="at least one speed"):
+            family_reports("fifth-soliton", 1.0, 1.0, 1.0, [], 1.0, "both", 200)
 
 
 class TestReportSerialization:
