@@ -137,7 +137,7 @@ def _check_args(args):
                        else [args.c])
     for flag, value in (("--gamma", args.gamma), ("--alpha", args.alpha),
                         ("--beta", args.beta), ("--c", args.c), ("--A", args.flux_a),
-                        ("--C", args.cee),
+                        ("--C", args.cee), ("--speed-scale", getattr(args, "speed_scale", 1.0)),
                         *(("--c-grid", c) for c in getattr(args, "speeds", ()))):
         if not math.isfinite(value):
             raise ValueError(f"{flag} must be finite, got {value!r}")
@@ -191,15 +191,16 @@ def cmd_verify(args) -> int:
                     zip(check.xi, check.residual1, check.residual2))
 
     std1 = float(np.std(check.law1))
-    if std1 / check.scale1 > 1e-6:
+    # written as not <= so that a NaN fails the check
+    if not std1 / check.scale1 <= 1e-6:
         failures.append(f"first law not constant: std/scale = {std1 / check.scale1:.3e}")
-    if abs(check.mean1 - profile.params.flux_a) > 1e-6 * max(1.0, check.scale1):
+    if not abs(check.mean1 - profile.params.flux_a) <= 1e-6 * max(1.0, check.scale1):
         failures.append(
             f"first-law mean {check.mean1:.6e} != declared flux {profile.params.flux_a:.6e}")
     std2 = float(np.std(check.law2))
-    if std2 / check.scale2 > 1e-4:
+    if not std2 / check.scale2 <= 1e-4:
         failures.append(f"second law not constant: std/scale = {std2 / check.scale2:.3e}")
-    if abs(check.mean2 - profile.params.flux_b) > 1e-4 * max(1.0, check.scale2):
+    if not abs(check.mean2 - profile.params.flux_b) <= 1e-4 * max(1.0, check.scale2):
         failures.append(
             f"second-law mean {check.mean2:.6e} != declared flux {profile.params.flux_b:.6e}")
     print(f"conservation: law1 mean {check.mean1:.6e} (declared {profile.params.flux_a:.6e}), "

@@ -15,6 +15,12 @@ weights of ETDRK4 suppress them.  The linear part is still propagated
 exactly, so a single Fourier mode with gamma = 0 rotates at the exact
 dispersion phase no matter the step.
 
+Each ``evolve`` run allocates one workspace of stage buffers, and its padded
+transforms call numpy's pocketfft ufuncs directly: at N <= 1024 the ``np.fft``
+wrappers cost as much as the transforms.  With the wrappers' arguments and
+every product's operand order kept, a step has the bits of one with fresh
+arrays and ``np.fft``.
+
 Sobolev norms on the box use ||f||^2_{H^s} = sum_kappa (1 + kappa^2)^s
 |f_hat(kappa)|^2 with f_hat = FFT(f)/N; this one convention backs every
 distance reported here.  The orbital distance minimizes over continuous
@@ -173,31 +179,53 @@ def _etdrk4_coeffs(n: int, domain_length: float, params: MediumParams, dt: float
     return -0.5j * params.gamma * kap, e_full, e_half, q, f1, 2.0 * f2, f3
 
 
-def _nonlinear(uh: np.ndarray, nl_factor: np.ndarray, n: int) -> np.ndarray:
-    """-i kappa (gamma/2) (u^2)_hat with 3/2-rule padding (exact for quadratics)."""
-    m = 3 * n // 2
-    # irfft zero-pads the n/2 + 1 bins of uh to the 3n/4 + 1 of the fine grid
-    u_fine = np.fft.irfft(uh, m)
-    u_fine *= m / n
-    u_fine *= u_fine
-    sq_hat = np.fft.rfft(u_fine)[: n // 2 + 1]
-    sq_hat *= n / m
+class _Workspace:
+    """One run's pocketfft kernels and stage buffers on an N-point grid.  As in
+    ``np.fft.rfft``, the forward kernel goes by the parity of m = 3N/2 (odd at N = 2)."""
+
+    def __init__(self, n: int):
+        from numpy.fft import _pocketfft_umath as kernels
+        self.n, self.m = n, 3 * n // 2
+        self.irfft = kernels.irfft
+        self.rfft = kernels.rfft_n_odd if self.m % 2 else kernels.rfft_n_even
+        self.fine = np.empty(self.m)
+        self.fine_hat = np.empty(self.m // 2 + 1, dtype=complex)
+        self.spectra = [np.empty(n // 2 + 1, dtype=complex) for _ in range(8)]
+
+
+def _nonlinear(vh: np.ndarray, nl_factor: np.ndarray, ws: _Workspace, out: np.ndarray):
+    """-i kappa (gamma/2) (v^2)_hat into ``out``, 3/2-rule padded (exact for quadratics)."""
+    # irfft zero-pads the n/2 + 1 bins of vh to the 3n/4 + 1 of the fine grid
+    fine = ws.irfft(vh, 1.0 / ws.m, out=ws.fine)
+    fine *= ws.m / ws.n
+    fine *= fine
+    sq_hat = ws.rfft(fine, 1.0, out=ws.fine_hat)[: ws.n // 2 + 1]
+    sq_hat *= ws.n / ws.m
     # complex products keep the operand order: with FMA kernels they need
     # not commute bit for bit
-    return np.multiply(nl_factor, sq_hat, out=sq_hat)
+    return np.multiply(nl_factor, sq_hat, out=out)
 
 
-def _step_spectrum(uh, coeffs, n):
+def _step_spectrum(uh, coeffs, ws):
+    """Advance the spectrum ``uh`` one ETDRK4 step in place; stages live in ``ws``."""
     nl_factor, e_full, e_half, q, f1, f2x2, f3 = coeffs
-    nl_u = _nonlinear(uh, nl_factor, n)
-    e_half_uh = e_half * uh
-    a = e_half_uh + q * nl_u
-    nl_a = _nonlinear(a, nl_factor, n)
-    b = e_half_uh + q * nl_a
-    nl_b = _nonlinear(b, nl_factor, n)
-    c = e_half * a + q * (2.0 * nl_b - nl_u)
-    nl_c = _nonlinear(c, nl_factor, n)
-    return e_full * uh + f1 * nl_u + f2x2 * (nl_a + nl_b) + f3 * nl_c
+    nl_u, nl_a, nl_b, nl_c, e_half_uh, a, c, t = ws.spectra
+    _nonlinear(uh, nl_factor, ws, nl_u)
+    np.multiply(e_half, uh, out=e_half_uh)
+    np.add(e_half_uh, np.multiply(q, nl_u, out=t), out=a)
+    _nonlinear(a, nl_factor, ws, nl_a)
+    # stage b lives in c's buffer; nl_b is its last reader
+    b = np.add(e_half_uh, np.multiply(q, nl_a, out=t), out=c)
+    _nonlinear(b, nl_factor, ws, nl_b)
+    np.subtract(np.multiply(2.0, nl_b, out=t), nl_u, out=t)
+    np.add(np.multiply(e_half, a, out=c), np.multiply(q, t, out=t), out=c)
+    _nonlinear(c, nl_factor, ws, nl_c)
+    # e_full uh + f1 nl_u + f2x2 (nl_a + nl_b) + f3 nl_c, summed left to right
+    np.multiply(e_full, uh, out=uh)
+    uh += np.multiply(f1, nl_u, out=t)
+    uh += np.multiply(f2x2, np.add(nl_a, nl_b, out=t), out=t)
+    uh += np.multiply(f3, nl_c, out=t)
+    return uh
 
 
 def default_dt(state: SpectralState) -> float:
@@ -273,10 +301,11 @@ def evolve(state: SpectralState, t_end: float, dt: float | None = None,
     if t_end == state.time:
         return state, records
     coeffs = _etdrk4_coeffs(n, state.domain_length, state.params, dt)
+    ws = _Workspace(n)
     uh = np.fft.rfft(state.field)
     peak0 = float(np.max(np.abs(state.field)))
     for i in range(n_steps):
-        uh = _step_spectrum(uh, coeffs, n)
+        uh = _step_spectrum(uh, coeffs, ws)
         if (i + 1) % record_every == 0 or i == n_steps - 1:
             t = state.time + (i + 1) * dt
             field = np.fft.irfft(uh, n)

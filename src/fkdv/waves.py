@@ -195,8 +195,8 @@ def _cn2_shape(gamma: float, alpha: float, c: float,
         raise ValueError(f"the cn^2 wave needs a mass flux of the sign of gamma; "
                          f"flux_a*gamma = {flux_a * gamma!r} admits no real wave")
     delta = 9.0 * c * c + 24.0 * flux_a * gamma
-    if delta <= 0.0:
-        raise ValueError(f"discriminant 9c^2 + 24*flux_a*gamma = {delta!r} must be positive")
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"discriminant 9c^2 + 24*flux_a*gamma = {delta!r} must lie in (0, inf)")
     sqrt_delta = math.sqrt(delta)
     amp = (3.0 * c + sqrt_delta) / (2.0 * gamma)
     if amp * gamma <= 0.0:

@@ -71,6 +71,20 @@ class TestVerifyCommand:
         assert code == 1
         assert "FAIL" in capsys.readouterr().out
 
+    def test_non_finite_residuals_fail(self, tmp_path, capsys):
+        # the profile overflows at c = 1e200, so every law statistic is NaN
+        with pytest.warns(RuntimeWarning):
+            code = run(["verify", "--family", "kdv-soliton", "--c", "1e200",
+                        "--out", str(tmp_path / "v")])
+        assert code == 1
+        assert "FAIL: first law not constant: std/scale = nan" in capsys.readouterr().out
+
+    def test_cnoidal_discriminant_overflow_is_a_usage_error(self, tmp_path, capsys):
+        assert run(["verify", "--family", "kdv-cnoidal", "--c", "1e200",
+                    "--out", str(tmp_path / "v")]) == 2
+        assert "discriminant 9c^2 + 24*flux_a*gamma = inf must lie in (0, inf)" in (
+            capsys.readouterr().err)
+
     def test_fifth_cnoidal_passes_on_4096_samples(self, tmp_path):
         # unchopped rounding, lifted by kappa^4, breaks law 1's 1e-6 bound here
         assert run(["verify", "--family", "fifth-cnoidal", "--samples", "4096",
@@ -282,6 +296,7 @@ class TestValidation:
     @pytest.mark.parametrize("command, flag, value", [
         ("profile", "--c", "inf"), ("profile", "--gamma", "nan"),
         ("verify", "--alpha", "-inf"), ("verify", "--beta", "nan"),
+        ("verify", "--speed-scale", "nan"),
         ("simulate", "--A", "inf"), ("simulate", "--C", "nan"),
         ("stability", "--c", "inf"), ("stability", "--c-grid", "0.5,nan"),
         ("stability", "--c-grid", "-inf,1"),

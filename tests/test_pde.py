@@ -60,7 +60,7 @@ def step(state, dt):
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
     coeffs = pde._etdrk4_coeffs(state.grid_n, state.domain_length, state.params, dt)
     uh = np.fft.rfft(state.field)
-    uh = pde._step_spectrum(uh, coeffs, state.grid_n)
+    uh = pde._step_spectrum(uh, coeffs, pde._Workspace(state.grid_n))
     field = np.fft.irfft(uh, state.grid_n)
     pde._check_blowup(field, np.max(np.abs(state.field)), state.time + dt)
     return replace(state, field=field, time=state.time + dt)
@@ -500,17 +500,19 @@ class TestTimeInputs:
             evolve(state, 20.0, dt=1e-9)
 
     def test_step_count_cap_admits_its_bound(self, state, monkeypatch):
-        monkeypatch.setattr(pde, "_step_spectrum", lambda uh, coeffs, n: uh)
+        monkeypatch.setattr(pde, "_step_spectrum", lambda uh, coeffs, ws: uh)
         final, records = evolve(state, 0.5 * pde._STEPS_CAP, dt=0.5, record_every=10 ** 9)
         assert final.time == 0.5 * pde._STEPS_CAP and len(records) == 2
 
 
 class TestReferenceKernel:
     @pytest.mark.parametrize("family, grid_n, cee", [
+        ("kdv-soliton", 2, 0.0),     # beta = 0; odd padded length m = 3
         ("fifth-soliton", 256, 0.0),
         ("kdv-cnoidal", 512, 0.5),   # beta = 0 and C != 0
         ("fifth-cnoidal", 512, 0.0),
         ("kdv-soliton", 1024, 0.0),  # beta = 0
+        ("fifth-soliton", 4096, 0.0),
     ])
     def test_evolve_matches_reference_bitwise(self, family, grid_n, cee):
         prof = build_profile(family, 1.0, 1.0, 1.0, 1.0, 1.0)
@@ -521,6 +523,31 @@ class TestReferenceKernel:
         dt = default_dt(state)
         final, _ = evolve(state, 40.5 * dt, dt=dt, record_every=7)
         assert np.array_equal(final.field, reference_final_field(state, 40.5 * dt, dt))
+
+    def test_nested_run_leaves_both_runs_unchanged(self, monkeypatch):
+        # a second run on another grid starts in the middle of the first
+        # run's second step; each run owns its workspace, so neither moves
+        def run_of(family, grid_n):
+            prof = build_profile(family, 1.0, 1.0, 1.0, 1.0, 1.0)
+            state, ref = state_from_profile(prof, grid_n=grid_n)
+            dt = default_dt(state)
+            return lambda: evolve(state, 20.5 * dt, dt=dt, record_every=3, reference=ref)
+
+        outer, inner = run_of("kdv-cnoidal", 512), run_of("fifth-soliton", 256)
+        solo = [outer(), inner()]
+        kernel, calls, nested = pde._nonlinear, [], []
+
+        def nonlinear(*args):
+            calls.append(None)
+            if len(calls) == 7:  # stage b of the outer run's second step
+                nested.append(inner())
+            return kernel(*args)
+
+        monkeypatch.setattr(pde, "_nonlinear", nonlinear)
+        nested_runs = zip([outer(), *nested], solo, strict=True)
+        for (final, records), (solo_final, solo_records) in nested_runs:
+            assert np.array_equal(final.field, solo_final.field)
+            assert records == solo_records
 
     def test_step_matches_reference_bitwise(self):
         state, _ = soliton_state(grid_n=512)
