@@ -130,7 +130,7 @@ def analytic_coeffs(profile: WaveProfile, n_max: int) -> CoeffSequence:
 
 
 def dft_cosine_coeffs(u: np.ndarray, n_max: int) -> CoeffSequence:
-    """Cosine coefficients of samples on the grid xi_j = -L + j (2L/N).
+    """Cosine coefficients of samples on the grid xi_j = ((2j - N)/N) L.
 
     This is the numerical oracle for the analytic formulas; it conforms to
     the module convention.  Warns when the content near the Nyquist scale
@@ -142,10 +142,9 @@ def dft_cosine_coeffs(u: np.ndarray, n_max: int) -> CoeffSequence:
         raise ValueError(f"need at least 8*n_max = {8 * n_max} samples, got {n_samp}")
     spec = np.fft.rfft(u)
     # the grid starts at -L, half a period before the transform origin
-    signs = (-1.0) ** np.arange(len(spec))
     vals = np.zeros(n_max + 1)
     vals[0] = spec[0].real / n_samp
-    vals[1:] = signs[1:n_max + 1] * spec[1:n_max + 1].real / n_samp
+    vals[1:] = (-1.0) ** np.arange(1, n_max + 1) * spec[1:n_max + 1].real / n_samp
     nyq_band = np.max(np.abs(spec[-max(2, n_samp // 64):])) / n_samp
     scale = max(abs(vals[0]), float(np.max(np.abs(spec))) / n_samp)
     if scale > 0 and nyq_band > 1e-12 * scale:

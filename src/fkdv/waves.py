@@ -287,9 +287,13 @@ def build_profile(family: str, gamma: float, alpha: float, beta: float,
                   c: float, flux_a: float, n_samples: int = 0) -> WaveProfile:
     """Validate a member of any family and sample it; 0 samples picks the default.
 
-    A soliton is sampled over [-W, W], W = 20 widths, on an odd count (2049
-    by default) so that xi = 0 is on the grid; a cnoidal wave over one
-    wavelength, endpoint-exclusive (512 samples by default).
+    Both kinds share the grid xi_j = ((2j - d)/d) W.  A cnoidal wave takes
+    d = n points over one wavelength, endpoint-exclusive, W the half period
+    (512 samples by default); a soliton an odd count d + 1 covering [-W, W],
+    W = 20 widths (2049 by default), so that xi = 0 is on the grid.  The
+    grid starts at -W exactly and is mirror-symmetric bit for bit,
+    xi_j = -xi_(d-j), so every profile, being even, is evaluated once on
+    xi <= 0 and the other half is filled by reversal.
     """
     params, cnoidal, amp, width, evaluator = family_member(family, gamma, alpha, beta,
                                                            c, flux_a)
@@ -299,11 +303,14 @@ def build_profile(family: str, gamma: float, alpha: float, beta: float,
         raise ValueError(f"need at least 64 samples for a "
                          f"{'periodic' if periodic else 'solitary'} profile")
     if periodic:
-        xi = -cnoidal.half_period + np.arange(n) * (2.0 * cnoidal.half_period / n)
+        d, points, w = n, n, cnoidal.half_period
     else:
-        xi = np.linspace(-_SOLITARY_WIDTHS * width, _SOLITARY_WIDTHS * width, n | 1)
-    return WaveProfile(family, params, cnoidal, amp, xi, evaluator(xi), periodic,
-                       evaluator, width)
+        d, points, w = (n | 1) - 1, n | 1, _SOLITARY_WIDTHS * width
+    xi = np.arange(-d, 2 * points - d, 2.0) / d * w
+    # u_j = u_(d-j) for the points xi_j > 0; a periodic grid has no xi_d = W to mirror xi_0
+    half = evaluator(xi[:d // 2 + 1])
+    u = np.concatenate([half, half[d + 1 - points:(d + 1) // 2][::-1]])
+    return WaveProfile(family, params, cnoidal, amp, xi, u, periodic, evaluator, width)
 
 
 def build_fifth_order_soliton(gamma: float, alpha: float, beta: float,

@@ -79,6 +79,13 @@ class TestVerifyCommand:
         assert code == 1
         assert "FAIL: first law not constant: std/scale = nan" in capsys.readouterr().out
 
+    def test_zero_scale_fails(self, tmp_path, capsys):
+        # u^2 underflows at c = 1e-300, so both laws' scales are exactly zero
+        assert run(["verify", "--family", "fifth-cnoidal", "--c", "1e-300",
+                    "--out", str(tmp_path / "v")]) == 1
+        assert ("FAIL: zero conservation scale: law1 0.000e+00, law2 0.000e+00"
+                in capsys.readouterr().out)
+
     def test_cnoidal_discriminant_overflow_is_a_usage_error(self, tmp_path, capsys):
         assert run(["verify", "--family", "kdv-cnoidal", "--c", "1e200",
                     "--out", str(tmp_path / "v")]) == 2

@@ -3,7 +3,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import fkdv.waves as waves
 from fkdv.elliptic import complete_K, jacobi_cn
 from fkdv.waves import (
     FAMILIES,
@@ -218,6 +221,72 @@ class TestProfileGeometry:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             build_profile("breather", 1.0, 1.0, 1.0, 1.0, 1.0)
+
+
+class TestSampler:
+    @given(family=st.sampled_from(sorted(FAMILIES)),
+           n_samples=st.one_of(st.just(0), st.integers(64, 5000)),
+           gamma=st.sampled_from([-2.0, -0.5, 0.5, 1.0, 3.0]),
+           alpha=st.floats(0.1, 10.0), beta=st.floats(0.1, 10.0),
+           c=st.floats(0.1, 10.0), flux=st.floats(0.1, 10.0))
+    @settings(max_examples=150, deadline=None)
+    def test_grid_is_symmetric_and_evaluated_once_per_pair(self, family, n_samples, gamma,
+                                                           alpha, beta, c, flux):
+        calls = []
+        member = FAMILIES[family]
+
+        def counting(*args):
+            params, cnoidal, amp, width, evaluator = member(*args)
+
+            def counted(xi):
+                calls.append(len(xi))
+                return evaluator(xi)
+            return params, cnoidal, amp, width, counted
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setitem(waves.FAMILIES, family, counting)
+            prof = build_profile(family, gamma, alpha, beta, c, math.copysign(flux, gamma),
+                                 n_samples)
+        xi, w = prof.xi, prof.window
+        if prof.periodic:
+            n = n_samples or 512
+            d = n
+            assert w == prof.cnoidal.half_period
+            # endpoint-exclusive: xi_0 = -W has no mirror point on the grid
+            assert len(xi) == n and xi[-1] == (n - 2) / n * w
+            assert np.array_equal(xi[1:], -xi[:0:-1])
+        else:
+            n = n_samples or 2049
+            d = (n | 1) - 1
+            assert w == 20.0 * prof.width
+            assert len(xi) == d + 1 and xi[-1] == w
+            assert np.array_equal(xi, -xi[::-1])
+        assert xi[0] == -w and np.all(np.diff(xi) > 0.0)
+        assert calls == [d // 2 + 1]
+        assert np.array_equal(prof.u, prof.evaluate(xi))
+
+
+class TestSolitaryLimit:
+    """As the flux goes to 0+ at c > 0 the cn^2 wave tends to the sech^2 soliton.
+
+    The two builders share no code.  To leading order in the flux f,
+    1 - k = |g| f / 3c^2 and the crest gap is 2/3 of |g| f / c^2.
+    """
+
+    @pytest.mark.parametrize("gamma,alpha,c", [(1.0, 1.0, 1.0), (2.0, 0.5, 3.0),
+                                               (-1.0, 1.0, 1.0)])
+    def test_cn2_tends_to_kdv_soliton(self, gamma, alpha, c):
+        soliton = build_kdv_soliton(gamma, alpha, c)
+        for flux in (1e-2, 1e-4, 1e-6, 1e-8):
+            cn2 = build_kdv_cnoidal(gamma, alpha, c, math.copysign(flux, gamma))
+            bound = abs(gamma) * flux / c ** 2
+            assert 0.0 < 1.0 - cn2.cnoidal.modulus <= 1.01 * bound / 3.0
+            assert 0.0 < cn2.amplitude / soliton.amplitude - 1.0 <= bound
+            gap = np.max(np.abs(cn2.u - soliton.evaluate(cn2.xi)))
+            assert gap <= bound * abs(soliton.amplitude)
+        # ... up to the modulus cap 1 - 1e-10
+        with pytest.raises(DegenerateModulusError):
+            build_kdv_cnoidal(gamma, alpha, c, math.copysign(1e-10 * c * c, gamma))
 
 
 class TestConservation:
