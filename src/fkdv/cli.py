@@ -180,6 +180,10 @@ def cmd_profile(args) -> int:
 
 def cmd_verify(args) -> int:
     profile = _build_profile(args)
+    # the DFT oracle of the coefficients needs 8 samples per harmonic
+    if profile.periodic and len(profile.u) < 8 * args.nmax:
+        raise ValueError(f"--samples {len(profile.u)} is below 8*--nmax = {8 * args.nmax} "
+                         "for a periodic family")
     if args.speed_scale != 1.0:
         # tamper with the propagation speed to exercise the failure path
         bad = dataclasses.replace(profile.params, c=profile.params.c * args.speed_scale)

@@ -1,10 +1,11 @@
 """Complete elliptic integrals and the Jacobi cn function.
 
-K and E come from one arithmetic-geometric mean iteration, cn from the
+K, E and D come from one arithmetic-geometric mean iteration, cn from the
 descending Landen (Gauss) transformation built on the same AGM sequence.
 Both converge quadratically, so every value here is good to a few ulps
 without any series-truncation tuning.  An :class:`EllipticContext` holds
-K, E, D and the nome of a modulus for two AGM runs, one at k and one at k'.
+K, E, D, the nome and the Landen data of a modulus for two AGM runs, one at
+k and one at k'; it is the only place cn takes them from.
 """
 
 from __future__ import annotations
@@ -44,49 +45,31 @@ def _check_modulus(k: float, *, allow_one: bool = False) -> float:
     return k
 
 
-def _agm_sequence(k: float, kprime: float | None = None):
-    """AGM sequences (a_n, c_n) starting from a0=1, b0=k', c0=k.
+def _complete_KED(k: float, kprime: float | None = None):
+    """K, E, D = (K - E)/k^2 and the Landen data of one AGM run from a0=1, b0=k', c0=k.
 
     ``kprime`` defaults to sqrt((1 - k)(1 + k)); a caller that knows k' more
     accurately than that (k' of a small complementary modulus) passes it.
-    """
-    a = [1.0]
-    b = math.sqrt((1.0 - k) * (1.0 + k)) if kprime is None else kprime
-    c = [k]
-    # the gap can stall at half an ulp of a, so the cutoff is one relative ulp
-    while abs(c[-1]) > 2.3e-16 * a[-1]:
-        if len(a) > _MAX_AGM_ITER:
-            raise RuntimeError(f"AGM failed to converge for k={k!r}")
-        a_prev = a[-1]
-        a.append(0.5 * (a_prev + b))
-        c.append(0.5 * (a_prev - b))
-        b = math.sqrt(a_prev * b)
-    return a, c
-
-
-def _complete_KED(k: float, kprime: float | None = None) -> tuple[float, float, float]:
-    """K, E and D = (K - E)/k^2 from one AGM run; below k = 0.02 D is legendre_D's series.
-
-    The AGM of :func:`_agm_sequence` on scalars, with E's sum of
-    2^(n-1) c_n^2 accumulated as it goes.
+    With c_0 = k the AGM gives E = K (1 - sum_(n>=0) 2^(n-1) c_n^2) and
+    D = K (1/2 + sum_(n>=1) 2^(n-1) (c_n/k)^2) (Abramowitz & Stegun 17.6), a
+    sum of positive terms, so no digit of a small k is lost to K - E.  The
+    Landen data (2^N a_N, c_N/a_N, ..., c_1/a_1) is what :func:`jacobi_cn`
+    descends with.
     """
     a, c = 1.0, k
     b = math.sqrt((1.0 - k) * (1.0 + k)) if kprime is None else kprime
-    csum, power, steps = (0.5 * k) * k, 0.5, 0
+    csum, dsum, power, ratios = (0.5 * k) * k, 0.5, 0.5, []
+    # the gap can stall at half an ulp of a, so the cutoff is one relative ulp
     while abs(c) > 2.3e-16 * a:
-        if steps >= _MAX_AGM_ITER:
+        if len(ratios) >= _MAX_AGM_ITER:
             raise RuntimeError(f"AGM failed to converge for k={k!r}")
         a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
         power *= 2.0
         csum += power * c * c
-        steps += 1
+        dsum += power * (c / k) ** 2
+        ratios.append(c / a)
     K = math.pi / (2.0 * a)
-    E = K * (1.0 - csum)
-    if k < 0.02:
-        k2 = k * k
-        D = (math.pi / 4.0) * (1.0 + k2 * (3.0 / 8.0 + k2 * (15.0 / 64.0 + k2 * 175.0 / 1024.0)))
-        return K, E, D
-    return K, E, (K - E) / (k * k)
+    return K, K * (1.0 - csum), K * dsum, ((2.0 ** len(ratios)) * a, *ratios[::-1])
 
 
 def complete_K(k: float) -> float:
@@ -107,13 +90,7 @@ def complete_E(k: float) -> float:
 
 
 def legendre_D(k: float) -> float:
-    """Legendre integral D(k) = (K - E)/k^2.
-
-    The difference K - E cancels catastrophically for small k, so below
-    k = 0.02 the Maclaurin series (pi/4)(1 + 3k^2/8 + 15k^4/64 + 175k^6/1024)
-    is used instead; its truncation error is below 1e-16 there.  The k -> 0
-    limit is pi/4.
-    """
+    """Legendre integral D(k) = (K - E)/k^2, summed without cancellation; D(0) = pi/4."""
     k = _check_modulus(k)
     return _complete_KED(k)[2]
 
@@ -123,6 +100,7 @@ def jacobi_cn(z, k: float):
 
     z is reduced modulo the full period 4K first, so cn(z + 4K) = cn(z) to
     rounding.  Scalars or arrays; a few ulps absolute for 0 <= k <= 1 - 1e-10.
+    K and the Landen data come from the cached :class:`EllipticContext`.
     """
     k = _check_modulus(k)
     z = np.asarray(z, dtype=float)
@@ -131,9 +109,8 @@ def jacobi_cn(z, k: float):
     if k < _TRIG_LIMIT:
         return np.cos(z)
 
-    a, c = _agm_sequence(k)
-    n_last = len(a) - 1
-    K = math.pi / (2.0 * a[-1])
+    ctx = EllipticContext.from_modulus(k)
+    K, (scale, *ratios) = ctx.K, ctx.landen
     # evaluate on |z| so that cn is even bit-for-bit; phi is a fresh array
     # (at least 1-d, so the levels below can update it in place)
     phi = np.abs(np.array(z, ndmin=1))
@@ -143,14 +120,14 @@ def jacobi_cn(z, k: float):
         np.mod(phi, 4.0 * K, out=phi)
     phi -= 2.0 * K
 
-    phi *= (2.0 ** n_last) * a[-1]
+    phi *= scale
     level = np.empty_like(phi)
-    for n in range(n_last, 0, -1):
+    for ratio in ratios:
         np.sin(phi, out=level)
         # arcsin needs no clip: a_n - c_n = b_(n-1) > 0 while k' > 0, and as
         # rounding is monotone fl(a + b)/2 >= |fl(a - b)|/2 for a, b >= 0, so
         # |c_n / a_n| <= 1 and |sin phi| c_n/a_n stays within [-1, 1]
-        level *= c[n] / a[n]
+        level *= ratio
         np.arcsin(level, out=level)
         phi += level
         phi *= 0.5
@@ -169,6 +146,7 @@ class EllipticContext:
     Kprime    : K(k'), infinite at k = 0 in exact arithmetic (stored as inf)
     D         : Legendre integral (K - E)/k^2
     q         : nome exp(-pi K'/K)
+    landen    : (2^N a_N, c_N/a_N, ..., c_1/a_1) of the AGM at k, for jacobi_cn
     """
 
     k: float
@@ -178,15 +156,16 @@ class EllipticContext:
     Kprime: float
     D: float
     q: float
+    landen: tuple[float, ...]
 
     @classmethod
     @lru_cache(maxsize=256, typed=True)
     def from_modulus(cls, k: float) -> "EllipticContext":
-        """Context of modulus k; cached, since the cn^2 stability terms revisit moduli."""
+        """Context of modulus k; cached, since the cn^2 stability terms and cn revisit moduli."""
         # -0.0 and 0.0 share a cache entry, so both build the context of 0.0
         k = _check_modulus(k) + 0.0
         kprime = math.sqrt((1.0 - k) * (1.0 + k))
-        K, E, D = _complete_KED(k)
+        K, E, D, landen = _complete_KED(k)
         # K(k') from the AGM of (1, k): sqrt((1 - k')(1 + k')) has lost
         # the digits of a small k (it is 0 below k ~ 1e-8)
         Kprime = _complete_KED(kprime, k)[0] if k > 0.0 else math.inf
@@ -198,4 +177,5 @@ class EllipticContext:
             Kprime=Kprime,
             D=D,
             q=math.exp(-math.pi * Kprime / K) if k > 0.0 else 0.0,
+            landen=landen,
         )

@@ -258,9 +258,11 @@ def pf2_check(seq, window: int = 12, tol_factor: float = 1e-14) -> Pf2Report:
 
     ``min_minor`` is the least minor over all quadruples, as computed in
     floating point (a zero may carry either sign), and inf when the window
-    holds no minor.  Entries that are not finite, or whose largest square
-    overflows (and with it the tolerance, so every minor would pass), are
-    rejected.
+    holds no minor.  When the tolerance would not be a normal float, the
+    check and its report are of the sequence rescaled by a power of two to a
+    largest entry in [0.5, 1), so that tiny sequences are judged like others.
+    Entries that are not finite, or whose largest square overflows (and with
+    it the tolerance, so every minor would pass), are rejected.
     """
     values, reach = _twosided_values(seq)
     # NaN and +-inf reach the least or the largest entry; the initial 0.0
@@ -276,6 +278,13 @@ def pf2_check(seq, window: int = 12, tol_factor: float = 1e-14) -> Pf2Report:
         raise ValueError(f"window must be nonnegative, got {window!r}")
     scale = float(hi ** 2)
     tol = tol_factor * scale
+    if not tol >= sys.float_info.min:
+        # an underflowing tolerance passes every minor that underflows with
+        # it; PF(2) is scale-free, so decide (and report) on the sequence
+        # scaled exactly by a power of two to a largest entry in [0.5, 1)
+        values = np.ldexp(values, -math.frexp(hi)[1])
+        scale = float(np.max(values) ** 2)
+        tol = tol_factor * scale
     min_minor = _least_minor(values, reach, window) if window else math.inf
 
     # log-concavity across the stored range

@@ -335,6 +335,22 @@ class TestValidation:
                     "--out", str(tmp_path / "s")]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("family", ["kdv-cnoidal", "fifth-cnoidal"])
+    def test_too_few_samples_for_nmax_write_nothing(self, family, tmp_path, capsys):
+        # the coefficient oracle needs 8*nmax samples; checked before any CSV
+        assert run(["verify", "--family", family, "--samples", "100", "--nmax", "64",
+                    "--out", str(tmp_path / "v")]) == 2
+        captured = capsys.readouterr()
+        assert "--samples 100" in captured.err and "8*--nmax = 512" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_soliton_takes_no_coefficients_at_any_nmax(self, tmp_path):
+        # 100 samples are too few for its conservation laws, not for --nmax
+        assert run(["verify", "--family", "kdv-soliton", "--samples", "100", "--nmax", "64",
+                    "--out", str(tmp_path / "v")]) == 1
+        assert (tmp_path / "v_residuals.csv").exists()
+
     def test_nmax_cap_admits_its_bound(self, tmp_path, capsys):
         assert run(["verify", "--family", "kdv-cnoidal", "--nmax", "64",
                     "--out", str(tmp_path / "v")]) == 0

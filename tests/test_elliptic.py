@@ -89,10 +89,41 @@ class TestLegendreD:
     def test_against_quadrature(self, k):
         assert legendre_D(k) == pytest.approx(quad_D(k), rel=1e-11)
 
+    @pytest.mark.parametrize("k", [0.005, 0.0199, 0.02, 0.03, 0.13, 0.9])
+    def test_against_mpmath(self, k):
+        # the AGM sum has no K - E to cancel, so D keeps full precision at
+        # every k, small ones included
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            m = mpmath.mpf(k) ** 2
+            exact = (mpmath.ellipk(m) - mpmath.ellipe(m)) / m
+            rel = abs((legendre_D(k) - exact) / exact)
+        assert rel < 5e-16
+
     def test_K_minus_D_positive(self):
         # sign condition behind the mean coefficient of the cn^2 wave
         for k in K_GRID:
             assert complete_K(k) - legendre_D(k) > 0.0
+
+
+def agm_sequence(k, kprime=None):
+    """AGM sequences (a_n, c_n) starting from a0=1, b0=k', c0=k.
+
+    ``kprime`` defaults to sqrt((1 - k)(1 + k)); a caller that knows k' more
+    accurately than that (k' of a small complementary modulus) passes it.
+    """
+    a = [1.0]
+    b = math.sqrt((1.0 - k) * (1.0 + k)) if kprime is None else kprime
+    c = [k]
+    # the gap can stall at half an ulp of a, so the cutoff is one relative ulp
+    while abs(c[-1]) > 2.3e-16 * a[-1]:
+        if len(a) > elliptic._MAX_AGM_ITER:
+            raise RuntimeError(f"AGM failed to converge for k={k!r}")
+        a_prev = a[-1]
+        a.append(0.5 * (a_prev + b))
+        c.append(0.5 * (a_prev - b))
+        b = math.sqrt(a_prev * b)
+    return a, c
 
 
 def jacobi_cn_reference(z, k):
@@ -101,7 +132,7 @@ def jacobi_cn_reference(z, k):
     if k < 1e-8:
         return np.cos(z)
     z = np.abs(z)
-    a, c = elliptic._agm_sequence(k)
+    a, c = agm_sequence(k)
     n_last = len(a) - 1
     K = math.pi / (2.0 * a[-1])
     z = np.mod(z + 2.0 * K, 4.0 * K) - 2.0 * K
@@ -113,29 +144,30 @@ def jacobi_cn_reference(z, k):
 
 
 def complete_KED_reference(k, kprime=None):
-    """The list-based K, E, D that _complete_KED replaced, kept as its bitwise oracle."""
-    a, c = elliptic._agm_sequence(k, kprime)
+    """The list-based K, E, D and Landen data, kept as the bitwise oracle of _complete_KED."""
+    a, c = agm_sequence(k, kprime)
     csum = 0.0
+    dsum = 0.5
     power = 0.5
-    for cn_ in c:
+    for n, cn_ in enumerate(c):
         csum += power * cn_ * cn_
+        if n:
+            dsum += power * (cn_ / k) ** 2
         power *= 2.0
     K = math.pi / (2.0 * a[-1])
-    E = K * (1.0 - csum)
-    if k < 0.02:
-        k2 = k * k
-        D = (math.pi / 4.0) * (1.0 + k2 * (3.0 / 8.0 + k2 * (15.0 / 64.0 + k2 * 175.0 / 1024.0)))
-        return K, E, D
-    return K, E, (K - E) / (k * k)
+    n_last = len(a) - 1
+    landen = ((2.0 ** n_last) * a[-1], *(c[n] / a[n] for n in range(n_last, 0, -1)))
+    return K, K * (1.0 - csum), K * dsum, landen
 
 
 def context_bits(ctx):
-    return np.array([getattr(ctx, name) for name in EllipticContext.__dataclass_fields__]).tobytes()
+    *scalars, landen = (getattr(ctx, name) for name in EllipticContext.__dataclass_fields__)
+    return np.array([*scalars, *landen]).tobytes()
 
 
 class TestScalarAgm:
     def test_bitwise_equal_to_reference(self):
-        # uniform, below the k = 0.02 series switch, near 1, and the edges
+        # uniform, small, near 1, and the edges
         rng = np.random.default_rng(11)
         moduli = np.concatenate([
             rng.uniform(0.0, 1.0, 10000),
@@ -144,7 +176,8 @@ class TestScalarAgm:
             [0.0, 1e-300, 0.02, np.nextafter(0.02, 0.0), np.nextafter(1.0, 0.0)],
         ])
         def bits(ked):
-            return struct.pack("<3d", *ked)
+            K, E, D, landen = ked
+            return struct.pack(f"<{3 + len(landen)}d", K, E, D, *landen)
 
         for k in moduli.tolist():
             assert bits(elliptic._complete_KED(k)) == bits(complete_KED_reference(k)), k
@@ -157,7 +190,7 @@ class TestScalarAgm:
 
     @pytest.mark.parametrize("k", [0.3, 1.0 - 1e-10])
     def test_same_iteration_cap(self, k, monkeypatch):
-        steps = len(elliptic._agm_sequence(k)[0]) - 1
+        steps = len(agm_sequence(k)[0]) - 1
         monkeypatch.setattr(elliptic, "_MAX_AGM_ITER", steps)
         assert elliptic._complete_KED(k) == complete_KED_reference(k)
         monkeypatch.setattr(elliptic, "_MAX_AGM_ITER", steps - 1)
@@ -264,6 +297,22 @@ class TestEllipticContext:
         EllipticContext.from_modulus.cache_clear()
         ctx = EllipticContext.from_modulus(k)
         assert runs == [k, ctx.kprime]
+
+    @pytest.mark.parametrize("k", [1e-3, 0.3, math.sqrt(2) / 2, 1.0 - 1e-10])
+    def test_cn_reads_its_agm_from_the_context(self, k, monkeypatch):
+        # a cold cn builds the context (one AGM at k, one at k'); a warm one runs none
+        z = np.linspace(-10.0, 10.0, 33)
+        runs = []
+        ked = elliptic._complete_KED
+        monkeypatch.setattr(elliptic, "_complete_KED",
+                            lambda q, *b0: runs.append(q) or ked(q, *b0))
+        EllipticContext.from_modulus.cache_clear()
+        cold = jacobi_cn(z, k)
+        assert runs == [k, math.sqrt((1.0 - k) * (1.0 + k))]
+        runs.clear()
+        warm = jacobi_cn(z, k)
+        assert runs == []
+        assert cold.tobytes() == warm.tobytes() == jacobi_cn_reference(z, k).tobytes()
 
     def test_fields_equal_cold_and_warm(self):
         moduli = [0.0, 1e-9, 0.01, 0.3, math.sqrt(2) / 2, 0.95, 1.0 - 1e-10]

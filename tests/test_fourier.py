@@ -302,6 +302,15 @@ class TestPf2:
         assert not report.log_concavity_ok
         assert report.min_minor < -report.tolerance
 
+    @pytest.mark.parametrize("s", [1.0, 1e-150, 1e-170, 1e-200, 1e-300])
+    def test_verdict_is_scale_free(self, s):
+        # below s ~ 1e-160 the minors and the tolerance underflow to 0.0
+        # together; the verdict must not depend on s
+        report = pf2_check(np.array([1.0, 0.1, 5.0, 0.1, 1.0]) * s, window=2)
+        assert not report.passed
+        assert report.min_minor < -report.tolerance < 0.0
+        assert pf2_check(0.5 ** np.abs(np.arange(-12, 13)) * s, window=6).passed
+
     def test_rejects_negative_values(self):
         with pytest.raises(ValueError):
             pf2_check(np.array([1.0, -1.0, 1.0]), window=1)
