@@ -182,6 +182,8 @@ class Pf2Report:
 
 # the largest entry whose square is finite
 _SQRT_FLOAT_MAX = math.sqrt(sys.float_info.max)
+# the rounding floor of a minor that vanishes exactly, relative to max(a)^2
+_PF2_TOL_FACTOR = 1e-14
 
 
 def _twosided_values(seq) -> tuple[np.ndarray, int]:
@@ -229,13 +231,13 @@ def _least_minor(values: np.ndarray, reach: int, w: int) -> float:
     return math.inf if math.isnan(least) else least
 
 
-def pf2_check(seq, window: int = 12, tol_factor: float = 1e-14) -> Pf2Report:
+def pf2_check(seq, window: int = 12) -> Pf2Report:
     """Check every 2x2 Toeplitz minor a(n1-m1)a(n2-m2) - a(n1-m2)a(n2-m1).
 
     Indices n1 < n2 and m1 < m2 range over [-window, window]; quadruples
     whose differences leave the stored range are skipped, so sequences should
     carry at least 2*window coefficients for full coverage.  Minors are
-    allowed to dip to -tol_factor*scale with scale = max(a)^2, the
+    allowed to dip to -1e-14*scale with scale = max(a)^2, the
     floating-point floor for minors that vanish exactly.  The log-concavity
     corollary a(n)^2 >= a(n-1)a(n+1) is reported separately.
 
@@ -277,14 +279,14 @@ def pf2_check(seq, window: int = 12, tol_factor: float = 1e-14) -> Pf2Report:
     if window < 0:
         raise ValueError(f"window must be nonnegative, got {window!r}")
     scale = float(hi ** 2)
-    tol = tol_factor * scale
+    tol = _PF2_TOL_FACTOR * scale
     if not tol >= sys.float_info.min:
         # an underflowing tolerance passes every minor that underflows with
         # it; PF(2) is scale-free, so decide (and report) on the sequence
         # scaled exactly by a power of two to a largest entry in [0.5, 1)
         values = np.ldexp(values, -math.frexp(hi)[1])
         scale = float(np.max(values) ** 2)
-        tol = tol_factor * scale
+        tol = _PF2_TOL_FACTOR * scale
     min_minor = _least_minor(values, reach, window) if window else math.inf
 
     # log-concavity across the stored range

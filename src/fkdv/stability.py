@@ -7,8 +7,8 @@ norm along the family:
   / g^2, so d/dc ||phi||^2 = 36 sqrt(a c) / g^2 > 0 outright.
 * Fifth-order soliton: the speed is pinned by the medium, so there is no
   family to differentiate; the sign of I comes from a Gegenbauer-type
-  gamma-function series with terms b_j (b_0 < 0, b_j > 0 for j >= 1), and
-  stability follows from sum_{j>=1} b_j < |b_0|.
+  series whose terms b_j are rational in j (b_0 = -891/14515200, b_j > 0
+  for j >= 1), and stability follows from sum_{j>=1} b_j < |b_0|.
 * cn^2 / cn^4 cnoidal waves: I = -(L/2) d/dc of the two-sided coefficient
   sequence norm.  Both norms are closed form, and so are their derivatives:
   the cn^4 norm is proportional to c^2, and the cn^2 norm is differentiated
@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from math import lgamma
 
 import numpy as np
 
@@ -43,7 +42,6 @@ __all__ = [
     "kdv_soliton_norm_derivative",
     "gegenbauer_terms",
     "gegenbauer_verdict",
-    "cn2_ell2_norm_sq",
     "cn4_ell2_norm_sq",
     "cn4_series_constant",
     "solve_flux_for_wavelength",
@@ -116,75 +114,51 @@ def kdv_soliton_norm_derivative(gamma: float, alpha: float, c: float) -> float:
 
 @dataclass(frozen=True)
 class GegenbauerSeriesSpec:
-    """Order parameters of the gamma-function series for I.
+    """Scale of the Gegenbauer series for I of the sech^4 soliton.
 
-    With r = 4, n = 2 (the sech^4 case) the series term reduces to
+    The series has the fixed orders r = 4, n = 2 of the sech^4 case, at
+    which its term is rational in j:
 
         b_j = 1680 (2j + 11/2)(j+1)^2 (j + 9/2)^2 (2j)!
-              / { [(2j+4)(2j+5)(2j+6)(2j+7) - 1680] (2j+10)! }
+              / { [(2j+4)(2j+5)(2j+6)(2j+7) - 1680] (2j+10)! }.
 
-    and lambda_1 = 1, lambda_{2j} in (0, 1) for j >= 1 while lambda_0 = 2,
-    which is what makes b_0 the single negative term.
+    The bracket is -840 at j = 0 and positive beyond, which is what makes
+    b_0 = -891/14515200 the single negative term.
     """
 
-    r = 4.0  # not fields: the orders are constants
-    n = 2.0
     gamma_coef: float = 1.0
 
     @property
     def prefactor_a(self) -> float:
-        return (self.gamma_coef * 2.0 ** (self.n + self.r - 1.0)
-                * math.gamma(self.r) / (math.pi * math.gamma(self.n)))
-
-    def lambda_m(self, m: float) -> float:
-        r = self.r
-        return math.exp(lgamma(r + m) - lgamma(r + 1.0)
-                        + lgamma(r + 2.0 * self.n + 1.0)
-                        - lgamma(r + 2.0 * self.n + m))
-
-    def term(self, j: int) -> float:
-        r, n = self.r, self.n
-        lam = self.lambda_m(2.0 * j)
-        mid = math.exp(lgamma(2.0 * j + 1.0) - lgamma(2.0 * j + 2.0 * n + 2.0 * r - 1.0))
-        mid *= (2.0 * j + n + r - 0.5)
-        sq = math.exp(2.0 * (lgamma(j + n) + lgamma(j + n + r - 0.5)
-                             - lgamma(j + 1.0) - lgamma(j + r + 0.5)))
-        return lam / (1.0 - lam) * mid * sq
+        """192 |gamma| / pi, so that a member and its mirror (u, gamma) ->
+        (-u, -gamma), which share the Hessian, share I."""
+        return 192.0 * abs(self.gamma_coef) / math.pi
 
 
-@lru_cache(maxsize=16)
-def _gegenbauer_series(jmax: int) -> np.ndarray:
-    series = np.array([GegenbauerSeriesSpec().term(j) for j in range(jmax + 1)])
-    series.flags.writeable = False
-    return series
-
-
-def gegenbauer_terms(spec: GegenbauerSeriesSpec, jmax: int) -> np.ndarray:
-    """Series terms b_0..b_jmax via the lambda/Gamma form, log-domain gammas.
-
-    The terms depend only on the orders r and n, class constants, so the
-    series is computed once per jmax; each call returns a fresh copy.
-    """
+def gegenbauer_terms(jmax: int) -> np.ndarray:
+    """Series terms b_0..b_jmax, each the rational term of
+    :class:`GegenbauerSeriesSpec` in floating point, (2j+10)!/(2j)! taken
+    as the product of its ten factors."""
     if jmax < 1:
         raise ValueError("jmax must be >= 1")
-    return _gegenbauer_series(jmax).copy()
+    j = np.arange(jmax + 1.0)
+    bracket = (2 * j + 4) * (2 * j + 5) * (2 * j + 6) * (2 * j + 7) - 1680.0
+    rising = np.prod(2 * j + np.arange(1.0, 11.0)[:, None], axis=0)
+    return 1680.0 * (2 * j + 5.5) * (j + 1) ** 2 * (j + 4.5) ** 2 / (bracket * rising)
 
 
 def gegenbauer_verdict(spec: GegenbauerSeriesSpec, jmax: int = 200) -> StabilityReport:
     """Decide the sign of I from the partial sum plus a decay tail bound.
 
-    The terms fall off like j^{-(2r+1)}, so the tail beyond jmax is bounded
-    by the integral comparison b_jmax * jmax / 2r, padded by a factor 2
+    The terms fall off like j^{-9}, so the tail beyond jmax is bounded
+    by the integral comparison b_jmax * jmax / 8, padded by a factor 2
     because the prefactor of the power law is still drifting at moderate j.
     The verdict is "inconclusive" unless that bound is below 1% of the
     partial sum.
     """
-    b = gegenbauer_terms(spec, jmax)
-    if not b[0] < 0.0:
-        raise ValueError("series leading term is not negative; the sign test "
-                         "presupposes b_0 < 0")
+    b = gegenbauer_terms(jmax)
     partial = float(np.sum(b[1:]))
-    tail = 2.0 * b[-1] * jmax / (2.0 * spec.r)
+    tail = b[-1] * jmax / 4.0
     total = spec.prefactor_a * (b[0] + partial)
     if tail > 0.01 * partial:
         verdict = "inconclusive"
@@ -206,7 +180,7 @@ def gegenbauer_verdict(spec: GegenbauerSeriesSpec, jmax: int = 200) -> Stability
 
 
 # ---------------------------------------------------------------------------
-# cn^2 family: sequence norm and its derivative in c
+# cn^2 family: derivative of the sequence norm in c
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=256, typed=True)
@@ -229,26 +203,6 @@ def _csch_sums(K: float, Kprime: float):
         if t2 < _SERIES_REL_FLOOR * s2:
             break
     return 2.0 * s2, 2.0 * s3
-
-
-def cn2_ell2_norm_sq(gamma: float, alpha: float, c: float, flux_a: float,
-                     half_period: float | None = None) -> float:
-    """Two-sided coefficient norm of the cn^2 wave,
-
-        (4 M^2 K^2 / L^4)(K - D)^2
-        + (M^2 pi^4 / L^4 k^4) sum_{n != 0} n^2 csch^2(n pi K'/K),
-
-    equal to (1/2L) int u^2 over one period under the package transform
-    convention.  ``half_period`` overrides the L in the formula (the
-    frozen-L reading); by default L tracks the wavelength of the
-    (c, flux_a) member.
-    """
-    cn, ctx = cn2_params(gamma, alpha, c, flux_a)
-    L = cn.half_period if half_period is None else half_period
-    k, emm = cn.modulus, cn.emm
-    s2, _ = _csch_sums(ctx.K, ctx.Kprime)
-    head = (4.0 * emm ** 2 * ctx.K ** 2 / L ** 4) * (ctx.K - ctx.D) ** 2
-    return head + (emm ** 2 * math.pi ** 4 / (L ** 4 * k ** 4)) * s2
 
 
 def cn4_series_constant() -> float:

@@ -198,7 +198,11 @@ def _cn2_shape(gamma: float, alpha: float, c: float,
     if not 0.0 < delta < math.inf:
         raise ValueError(f"discriminant 9c^2 + 24*flux_a*gamma = {delta!r} must lie in (0, inf)")
     sqrt_delta = math.sqrt(delta)
-    amp = (3.0 * c + sqrt_delta) / (2.0 * gamma)
+    # (3c + sqrt(delta)) / 2g cancels for c < 0; there it equals 12 A / (sqrt(delta) - 3c)
+    if c < 0.0:
+        amp = 12.0 * flux_a / (sqrt_delta - 3.0 * c)
+    else:
+        amp = (3.0 * c + sqrt_delta) / (2.0 * gamma)
     if amp * gamma <= 0.0:
         raise ValueError("amplitude*gamma must be positive for a real modulus")
     modulus = math.sqrt(amp * gamma) / delta ** 0.25

@@ -1,6 +1,8 @@
+import itertools
 import math
 import re
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -168,6 +170,28 @@ class TestKdvCnoidal:
                     cn2_wavelength(gamma, alpha, c, flux)
                 continue
             assert cn2_wavelength(gamma, alpha, c, flux) == expected
+
+    @pytest.mark.parametrize("gamma", [1.0, -1.0])
+    @pytest.mark.parametrize("c,flux", [(-20.0, 0.05), (-100.0, 0.01), (-1000.0, 0.001)])
+    def test_amplitude_without_cancellation_below_zero_speed(self, gamma, c, flux):
+        # (3c + sqrt(delta)) / 2g loses 1e-13 .. 1e-9 of the amplitude here
+        flux = gamma * flux
+        with mp.workdps(50):
+            exact = (3 * mp.mpf(c) + mp.sqrt(9 * mp.mpf(c) ** 2 + 24 * mp.mpf(flux) * gamma)) \
+                / (2 * mp.mpf(gamma))
+            amp = _cn2_shape(gamma, 1.0, c, flux)[2]
+            assert abs((amp - exact) / exact) <= 1e-15
+
+    def test_amplitude_bits_kept_at_nonnegative_speed(self):
+        for gamma, c, flux in itertools.product([-2.5, -1.0, 0.3, 1.0, 4.0],
+                                                [0.0, 1e-300, 0.01, 0.7, 1.0, 3.0, 50.0],
+                                                [1e-4, 0.05, 1.0, 20.0]):
+            flux = math.copysign(flux, gamma)
+            try:
+                amp = _cn2_shape(gamma, 1.0, c, flux)[2]
+            except DegenerateModulusError:
+                continue
+            assert amp == (3.0 * c + math.sqrt(9.0 * c * c + 24.0 * flux * gamma)) / (2.0 * gamma)
 
     def test_params_helper_matches_builder(self):
         cn, ctx = cn2_params(1.0, 1.0, 1.3, 0.7)
