@@ -8,13 +8,7 @@ minors), and demonstrates orbital stability dynamically with a periodic
 pseudospectral solver.
 """
 
-from .elliptic import (
-    EllipticContext,
-    complete_E,
-    complete_K,
-    jacobi_cn,
-    legendre_D,
-)
+from .elliptic import EllipticContext, jacobi_cn
 from .fourier import (
     CoeffSequence,
     Pf2Report,

@@ -4,8 +4,9 @@ K, E and D come from one arithmetic-geometric mean iteration, cn from the
 descending Landen (Gauss) transformation built on the same AGM sequence.
 Both converge quadratically, so every value here is good to a few ulps
 without any series-truncation tuning.  An :class:`EllipticContext` holds
-K, E, D, the nome and the Landen data of a modulus for two AGM runs, one at
-k and one at k'; it is the only place cn takes them from.
+K, E, D, K', the nome and the Landen data of a modulus for two AGM runs, one
+at k and one at k'; ``EllipticContext.from_modulus(k)`` is the only way to
+them, for cn as for every other caller.
 """
 
 from __future__ import annotations
@@ -18,9 +19,6 @@ import numpy as np
 
 __all__ = [
     "EllipticContext",
-    "complete_K",
-    "complete_E",
-    "legendre_D",
     "jacobi_cn",
     "CSCH_OVERFLOW",
 ]
@@ -36,12 +34,10 @@ _MAX_AGM_ITER = 64
 CSCH_OVERFLOW = 700.0
 
 
-def _check_modulus(k: float, *, allow_one: bool = False) -> float:
+def _check_modulus(k: float) -> float:
     k = float(k)
-    if not math.isfinite(k) or k < 0.0 or k > 1.0 or (k == 1.0 and not allow_one):
-        hi = "1" if allow_one else "1)"
-        lo = "[0, " + hi
-        raise ValueError(f"modulus must lie in {lo}, got {k!r}")
+    if not 0.0 <= k < 1.0:
+        raise ValueError(f"modulus must lie in [0, 1), got {k!r}")
     return k
 
 
@@ -70,29 +66,6 @@ def _complete_KED(k: float, kprime: float | None = None):
         ratios.append(c / a)
     K = math.pi / (2.0 * a)
     return K, K * (1.0 - csum), K * dsum, ((2.0 ** len(ratios)) * a, *ratios[::-1])
-
-
-def complete_K(k: float) -> float:
-    """Complete elliptic integral of the first kind, K(k) = pi/(2 agm(1, k'))."""
-    return _complete_KED(_check_modulus(k))[0]
-
-
-def complete_E(k: float) -> float:
-    """Complete elliptic integral of the second kind.
-
-    Uses the AGM relation E = K (1 - sum_n 2^{n-1} c_n^2).  E(1) = 1 is
-    returned exactly (K diverges there, E does not).
-    """
-    k = _check_modulus(k, allow_one=True)
-    if k == 1.0:
-        return 1.0
-    return _complete_KED(k)[1]
-
-
-def legendre_D(k: float) -> float:
-    """Legendre integral D(k) = (K - E)/k^2, summed without cancellation; D(0) = pi/4."""
-    k = _check_modulus(k)
-    return _complete_KED(k)[2]
 
 
 def jacobi_cn(z, k: float):

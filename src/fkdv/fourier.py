@@ -175,8 +175,6 @@ class Pf2Report:
     window: int
     min_minor: float
     scale: float
-    log_concavity_ok: bool
-    min_log_concavity: float
     tolerance: float
 
 
@@ -236,10 +234,13 @@ def pf2_check(seq, window: int = 12) -> Pf2Report:
 
     Indices n1 < n2 and m1 < m2 range over [-window, window]; quadruples
     whose differences leave the stored range are skipped, so sequences should
-    carry at least 2*window coefficients for full coverage.  Minors are
-    allowed to dip to -1e-14*scale with scale = max(a)^2, the
-    floating-point floor for minors that vanish exactly.  The log-concavity
-    corollary a(n)^2 >= a(n-1)a(n+1) is reported separately.
+    carry at least 2*window coefficients for full coverage.  The verdict
+    reads a(n) only for |n| <= 2*window: entries beyond that decide nothing.
+    Minors are allowed to dip to -1e-14*scale with scale = max(a)^2, the
+    floating-point floor for minors that vanish exactly.  Each log-concavity
+    cell a(n)^2 - a(n-1)a(n+1) with |n| <= 2*window - 1 is one of these
+    minors (n1 - m1 = n, n2 = n1 + 1, m2 = m1 + 1), in the same
+    floating-point expression, so it needs no check of its own.
 
     With i = n1 - m2 < p = n1 - m1 < j = n2 - m1 and s = i + j, a minor is
     a(p)a(s-p) - a(i)a(j).  It depends on the quadruple only through the
@@ -288,18 +289,10 @@ def pf2_check(seq, window: int = 12) -> Pf2Report:
         scale = float(np.max(values) ** 2)
         tol = _PF2_TOL_FACTOR * scale
     min_minor = _least_minor(values, reach, window) if window else math.inf
-
-    # log-concavity across the stored range
-    lc = values[1:-1] ** 2 - values[:-2] * values[2:]
-    min_lc = float(np.min(lc)) if len(lc) else 0.0
-    lc_ok = min_lc >= -tol
-
     return Pf2Report(
-        passed=(min_minor >= -tol) and lc_ok,
+        passed=min_minor >= -tol,
         window=window,
         min_minor=min_minor,
         scale=scale,
-        log_concavity_ok=lc_ok,
-        min_log_concavity=min_lc,
         tolerance=tol,
     )

@@ -515,8 +515,6 @@ def stability_experiment(profile: WaveProfile, perturbation: Perturbation | None
     if perturbation is not None:
         state = replace(state, field=apply_perturbation(
             state.field, perturbation, state.domain_length, profile.amplitude))
-    if dt is None:
-        dt = default_dt(state)
     final, records = evolve(state, horizon, dt=dt, record_every=record_every,
                             reference=reference)
     return ExperimentReport(

@@ -34,7 +34,7 @@ import numpy as np
 
 from .elliptic import CSCH_OVERFLOW
 from .waves import (CN4_K, FIFTH_CNOIDAL, FIFTH_SOLITON, KDV_CNOIDAL, KDV_SOLITON,
-                    cn2_params, cn4_wavelength, family_member, write_csv)
+                    cn2_params, family_member, write_csv)
 
 __all__ = [
     "GegenbauerSeriesSpec",
@@ -102,9 +102,12 @@ def _sign_verdict(norm_derivative: float) -> str:
 # ---------------------------------------------------------------------------
 
 def kdv_soliton_norm_derivative(gamma: float, alpha: float, c: float) -> float:
-    """d/dc ||phi_c||^2 = 36 sqrt(alpha c) / gamma^2, positive for all c > 0."""
-    if alpha <= 0.0 or c <= 0.0:
-        raise ValueError("norm derivative requires alpha > 0 and c > 0")
+    """d/dc ||phi_c||^2 = 36 sqrt(alpha c) / gamma^2 of a member the builder accepts.
+
+    A member with alpha, c < 0 gets the value of its mirror (alpha, c) ->
+    (-alpha, -c), which alpha c leaves bit for bit.
+    """
+    family_member(KDV_SOLITON, gamma, alpha, 0.0, c, 0.0)
     return 36.0 * math.sqrt(alpha * c) / gamma ** 2
 
 
@@ -373,17 +376,18 @@ def cn4_norm_derivative(gamma: float, beta: float, c: float) -> StabilityReport:
     """d/dc of the cn^4 coefficient norm; the norm is proportional to c^2.
 
     K(sqrt2/2) is a constant of the family, so the derivative is exactly
-    2/c times the norm and positivity is immediate for c > 0.
+    2/|c| times the norm and positivity is immediate.  A member with
+    c, beta < 0 gets the report of its mirror (beta, c) -> (-beta, -c):
+    the norm reads c^2 and the wavelength beta/c, both bit for bit the same.
     """
-    if c <= 0.0 or beta <= 0.0:
-        raise ValueError("the cn^4 family needs c > 0 and beta > 0")
+    wavelength = family_member(FIFTH_CNOIDAL, gamma, 0.0, beta, c, 0.0)[3]
     norm = cn4_ell2_norm_sq(gamma, c)
-    deriv = 2.0 * norm / c
+    deriv = 2.0 * norm / abs(c)
     return StabilityReport(
         family=FIFTH_CNOIDAL,
         c=c,
         norm_derivative=deriv,
-        functional_i=-0.25 * cn4_wavelength(beta, c) * deriv,
+        functional_i=-0.25 * wavelength * deriv,
         verdict=_sign_verdict(deriv),
         terms={"norm": norm, "series_constant": _CN4_SERIES},
     )

@@ -39,7 +39,7 @@ from typing import Callable
 
 import numpy as np
 
-from .elliptic import EllipticContext, complete_K, jacobi_cn
+from .elliptic import EllipticContext, jacobi_cn
 
 __all__ = [
     "FIFTH_SOLITON",
@@ -81,7 +81,7 @@ _MODULUS_CAP = 1.0 - 1e-10
 _SOLITARY_WIDTHS = 20.0
 
 CN4_MODULUS = math.sqrt(2.0) / 2.0
-CN4_K = complete_K(CN4_MODULUS)
+CN4_K = EllipticContext.from_modulus(CN4_MODULUS).K
 
 
 class DegenerateModulusError(ValueError):
@@ -131,8 +131,7 @@ class WaveProfile:
     [-W, W] with W = 20 characteristic widths; periodic profiles on an
     endpoint-exclusive uniform grid covering exactly one wavelength.
     ``width`` is the characteristic length: the sech width of a soliton,
-    the wavelength of a cnoidal train (NaN on a profile assembled without
-    one).  Immutable after construction.
+    the wavelength of a cnoidal train.  Immutable after construction.
     """
 
     family: str
@@ -143,7 +142,7 @@ class WaveProfile:
     u: np.ndarray
     periodic: bool
     _evaluator: Callable[[np.ndarray], np.ndarray]
-    width: float = math.nan
+    width: float
 
     def evaluate(self, xi):
         """Closed form u(xi) at arbitrary points."""

@@ -200,6 +200,7 @@ class TestStabilityCommand:
     @pytest.mark.parametrize("family, flag, value, message", [
         ("fifth-soliton", "--alpha", "-1", "the sech^4 soliton needs alpha > 0 and beta > 0"),
         ("kdv-soliton", "--gamma", "0", "gamma must be nonzero"),
+        ("fifth-cnoidal", "--c", "-1", "the cn^4 wave needs c/beta > 0"),
     ])
     def test_member_the_builder_rejects_gets_no_verdict(self, family, flag, value, message,
                                                          tmp_path, capsys):
@@ -207,6 +208,21 @@ class TestStabilityCommand:
                     "--out", str(tmp_path / "s")]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "s_stability.csv").exists()
+
+    @pytest.mark.parametrize("family, mirror", [
+        ("kdv-soliton", ["--alpha", "-1", "--c", "-1"]),
+        ("fifth-cnoidal", ["--c", "-1", "--beta", "-1"]),
+    ])
+    def test_mirrored_member_gets_the_canonical_index(self, family, mirror, tmp_path):
+        # columns from norm_derivative on match bit for bit; only c differs
+        cols = []
+        for name, flags in (("canon", []), ("mirror", mirror)):
+            assert run(["stability", "--family", family, *flags,
+                        "--out", str(tmp_path / name)]) == 0
+            lines = (tmp_path / f"{name}_stability.csv").read_text().splitlines()
+            cols.append([line.split(",", 3)[3] for line in lines])
+        assert cols[0] == cols[1]
+        assert cols[0][1].split(",")[2] == "stable"
 
     def test_jobs_flag(self, tmp_path):
         code = run(["stability", "--family", "fifth-cnoidal", "--c-grid", "0.5,1,2",

@@ -9,19 +9,17 @@ from scipy.integrate import quad
 from scipy.special import ellipj
 
 import fkdv.elliptic as elliptic
-from fkdv.elliptic import (
-    EllipticContext,
-    complete_E,
-    complete_K,
-    jacobi_cn,
-    legendre_D,
-)
+from fkdv.elliptic import EllipticContext, jacobi_cn
 
 # frozen oracle values for k = sqrt(2)/2 (30-digit AGM iteration)
 K_AT_SQRT2_OVER_2 = 1.8540746773013719
 E_AT_SQRT2_OVER_2 = 1.3506438810476755
 
 K_GRID = [0.05, 0.15, 0.25, 0.35, 0.45, 0.55, 0.65, 0.75, 0.85, 0.95]
+
+
+def ctx_of(k):
+    return EllipticContext.from_modulus(k)
 
 
 def quad_K(k):
@@ -44,50 +42,47 @@ def quad_D(k):
 
 class TestCompleteK:
     def test_zero_modulus(self):
-        assert complete_K(0.0) == pytest.approx(math.pi / 2, rel=1e-15)
+        assert ctx_of(0.0).K == pytest.approx(math.pi / 2, rel=1e-15)
 
     def test_frozen_agm_value(self):
-        assert complete_K(math.sqrt(2) / 2) == pytest.approx(K_AT_SQRT2_OVER_2, rel=1e-13)
+        assert ctx_of(math.sqrt(2) / 2).K == pytest.approx(K_AT_SQRT2_OVER_2, rel=1e-13)
 
     def test_against_quadrature(self):
-        assert complete_K(0.5) == pytest.approx(quad_K(0.5), rel=1e-12)
+        assert ctx_of(0.5).K == pytest.approx(quad_K(0.5), rel=1e-12)
 
     @pytest.mark.parametrize("bad", [1.0, -0.1, 1.5, float("nan")])
     def test_domain(self, bad):
-        with pytest.raises(ValueError):
-            complete_K(bad)
+        with pytest.raises(ValueError, match=r"\[0, 1\)"):
+            ctx_of(bad)
 
 
 class TestCompleteE:
     def test_zero_modulus(self):
-        assert complete_E(0.0) == pytest.approx(math.pi / 2, rel=1e-15)
-
-    def test_unit_modulus_exact(self):
-        assert complete_E(1.0) == 1.0
+        assert ctx_of(0.0).E == pytest.approx(math.pi / 2, rel=1e-15)
 
     def test_frozen_and_quadrature(self):
-        e = complete_E(math.sqrt(2) / 2)
+        e = ctx_of(math.sqrt(2) / 2).E
         assert e == pytest.approx(E_AT_SQRT2_OVER_2, rel=1e-13)
         assert e == pytest.approx(quad_E(math.sqrt(2) / 2), rel=1e-12)
 
     @pytest.mark.parametrize("bad", [-0.2, 1.0001])
     def test_domain(self, bad):
         with pytest.raises(ValueError):
-            complete_E(bad)
+            ctx_of(bad)
 
 
 class TestLegendreD:
     def test_small_k_limit(self):
-        assert legendre_D(0.0) == pytest.approx(math.pi / 4, rel=1e-15)
-        assert legendre_D(1e-6) == pytest.approx(math.pi / 4, rel=1e-10)
+        assert ctx_of(0.0).D == pytest.approx(math.pi / 4, rel=1e-15)
+        assert ctx_of(1e-6).D == pytest.approx(math.pi / 4, rel=1e-10)
 
     def test_identity_at_sqrt2_over_2(self):
-        k = math.sqrt(2) / 2
-        assert legendre_D(k) == pytest.approx(2.0 * (complete_K(k) - complete_E(k)), rel=1e-14)
+        ctx = ctx_of(math.sqrt(2) / 2)
+        assert ctx.D == pytest.approx(2.0 * (ctx.K - ctx.E), rel=1e-14)
 
     @pytest.mark.parametrize("k", [0.05, 0.3, 0.6, 0.9])
     def test_against_quadrature(self, k):
-        assert legendre_D(k) == pytest.approx(quad_D(k), rel=1e-11)
+        assert ctx_of(k).D == pytest.approx(quad_D(k), rel=1e-11)
 
     @pytest.mark.parametrize("k", [0.005, 0.0199, 0.02, 0.03, 0.13, 0.9])
     def test_against_mpmath(self, k):
@@ -97,13 +92,13 @@ class TestLegendreD:
         with mpmath.workdps(40):
             m = mpmath.mpf(k) ** 2
             exact = (mpmath.ellipk(m) - mpmath.ellipe(m)) / m
-            rel = abs((legendre_D(k) - exact) / exact)
+            rel = abs((ctx_of(k).D - exact) / exact)
         assert rel < 5e-16
 
     def test_K_minus_D_positive(self):
         # sign condition behind the mean coefficient of the cn^2 wave
         for k in K_GRID:
-            assert complete_K(k) - legendre_D(k) > 0.0
+            assert ctx_of(k).K - ctx_of(k).D > 0.0
 
 
 def agm_sequence(k, kprime=None):
@@ -203,7 +198,7 @@ class TestJacobiCn:
     @pytest.mark.parametrize("k", [1e-9, 0.3, math.sqrt(2) / 2, 0.99, 1.0 - 1e-10])
     def test_bitwise_equal_to_reference(self, k):
         rng = np.random.default_rng(7)
-        K = complete_K(k)
+        K = ctx_of(k).K
         inside = rng.uniform(-2.0 * K, 2.0 * K, 4096)
         beyond = rng.uniform(-40.0 * K, 40.0 * K, (16, 33))
         edges = np.array([0.0, -0.0, 2.0 * K, -2.0 * K, 4.0 * K, np.nextafter(2.0 * K, 0.0)])
@@ -224,7 +219,7 @@ class TestJacobiCn:
 
     @pytest.mark.parametrize("k", [0.2, 0.5, 0.9, 0.999])
     def test_quarter_period_zero(self, k):
-        assert abs(jacobi_cn(complete_K(k), k)) < 1e-12
+        assert abs(jacobi_cn(ctx_of(k).K, k)) < 1e-12
 
     def test_degenerate_modulus_is_cosine(self):
         z = np.linspace(-5.0, 5.0, 10)
@@ -233,7 +228,7 @@ class TestJacobiCn:
     @pytest.mark.parametrize("k", [0.3, 0.7, 0.99])
     def test_full_period(self, k):
         z = np.linspace(-2.0, 2.0, 17)
-        K = complete_K(k)
+        K = ctx_of(k).K
         assert np.max(np.abs(jacobi_cn(z + 4 * K, k) - jacobi_cn(z, k))) < 1e-12
 
     def test_evenness_exact(self):
@@ -255,7 +250,7 @@ class TestJacobiCn:
         cn = jacobi_cn(z, k)
         assert -1.0 - 1e-12 <= cn <= 1.0 + 1e-12
         kp2 = (1.0 - k) * (1.0 + k)
-        cn_reflected = jacobi_cn(complete_K(k) - z, k)
+        cn_reflected = jacobi_cn(ctx_of(k).K - z, k)
         assert abs(cn_reflected ** 2 * (kp2 + k * k * cn * cn) - kp2 * (1.0 - cn * cn)) < 1e-12
 
     def test_rejects_nonfinite_argument(self):
@@ -273,7 +268,7 @@ class TestEllipticContext:
     def test_legendre_relation(self, k):
         # E K' + E' K - K K' = pi/2
         ctx = EllipticContext.from_modulus(k)
-        eprime = complete_E(ctx.kprime)
+        eprime = ctx_of(ctx.kprime).E
         lhs = ctx.E * ctx.Kprime + eprime * ctx.K - ctx.K * ctx.Kprime
         assert abs(lhs - math.pi / 2) < 1e-12
 
@@ -330,9 +325,10 @@ class TestEllipticContext:
                 EllipticContext.from_modulus.__wrapped__(EllipticContext, 0.0))
 
     def test_context_matches_the_functions(self):
+        # K, E and D are the context's AGM run at k, bit for bit
         for k in (0.0, 0.01, 0.3, 0.95):
             ctx = EllipticContext.from_modulus(k)
-            assert (ctx.K, ctx.E, ctx.D) == (complete_K(k), complete_E(k), legendre_D(k))
+            assert (ctx.K, ctx.E, ctx.D) == elliptic._complete_KED(k)[:3]
 
     def test_zero_modulus_context(self):
         ctx = EllipticContext.from_modulus(0.0)
@@ -361,7 +357,7 @@ def test_q_series_csch_identity(k):
 
 
 def test_K_monotonicity():
-    Ks = [complete_K(k) for k in K_GRID]
+    Ks = [ctx_of(k).K for k in K_GRID]
     Kps = [EllipticContext.from_modulus(k).Kprime for k in K_GRID]
     assert all(b > a for a, b in zip(Ks, Ks[1:]))
     assert all(b < a for a, b in zip(Kps, Kps[1:]))

@@ -223,10 +223,13 @@ class TestKdvSolitonNorm:
         assert norm_sq(c) == pytest.approx(kdv_soliton_norm_sq(gamma, alpha, c), rel=1e-6)
 
     def test_domain(self):
-        with pytest.raises(ValueError):
+        # the builder's rule, c/alpha > 0, is the only one
+        with pytest.raises(ValueError, match=re.escape("needs c/alpha > 0")):
             kdv_soliton_norm_derivative(1.0, -1.0, 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("needs c/alpha > 0")):
             kdv_soliton_norm_derivative(1.0, 1.0, -2.0)
+        with pytest.raises(ValueError, match="gamma must be nonzero"):
+            kdv_soliton_norm_derivative(0.0, 1.0, 1.0)
 
 
 class TestGegenbauerSeries:
@@ -572,8 +575,8 @@ class TestCn4Derivative:
         assert cn4_series_constant() > 2.0 / math.sinh(math.pi) ** 2
 
     def test_norm_value(self):
-        import fkdv.elliptic as el
-        K = el.complete_K(math.sqrt(2.0) / 2.0)
+        from fkdv.elliptic import EllipticContext
+        K = EllipticContext.from_modulus(math.sqrt(2.0) / 2.0).K
         expected = 25.0 / 36.0 + 25.0 * math.pi ** 8 / (36.0 * K ** 8) * cn4_series_constant()
         assert cn4_ell2_norm_sq(1.0, 1.0) == pytest.approx(expected, rel=1e-14)
 
@@ -589,8 +592,45 @@ class TestCn4Derivative:
         assert cn4_ell2_norm_sq(1.0, 1.0) == pytest.approx(float(np.mean(prof.u ** 2)), rel=1e-7)
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            cn4_norm_derivative(1.0, 1.0, -1.0)
+        # the builder's rule, c/beta > 0, is the only one
+        for beta, c in ((1.0, -1.0), (-1.0, 1.0), (0.0, 1.0)):
+            with pytest.raises(ValueError, match=re.escape("needs c/beta > 0")):
+                cn4_norm_derivative(1.0, beta, c)
+
+
+def bits(x):
+    return None if x is None else struct.pack("<d", x)
+
+
+class TestMirroredMembers:
+    """A member the builder accepts gets the index of its x -> -x mirror,
+    (alpha, beta, c, u) -> (-alpha, -beta, -c, -u), bit for bit."""
+
+    @staticmethod
+    def assert_same_index(mirror, canon):
+        assert bits(mirror.norm_derivative) == bits(canon.norm_derivative)
+        assert bits(mirror.functional_i) == bits(canon.functional_i)
+        assert mirror.verdict == canon.verdict == "stable"
+
+    @pytest.mark.parametrize("gamma,alpha,c", [(1.0, 1.0, 1.0), (-2.0, 0.5, 1.5),
+                                               (0.7, 2.0, 0.4), (1.0, 3.0, 1e-300)])
+    def test_kdv_soliton(self, gamma, alpha, c):
+        assert (bits(kdv_soliton_norm_derivative(gamma, -alpha, -c))
+                == bits(kdv_soliton_norm_derivative(gamma, alpha, c)))
+        canon, mirror = (family_reports("kdv-soliton", gamma, a, 0.0, [s], 0.0, "both", 200)[0]
+                         for a, s in ((alpha, c), (-alpha, -c)))
+        assert (mirror.c, canon.c) == (-c, c)
+        self.assert_same_index(mirror, canon)
+
+    @pytest.mark.parametrize("gamma,beta,c", [(1.0, 1.0, 1.0), (-2.0, 0.5, 1.5),
+                                              (0.7, 2.0, 0.4), (1.0, 3.0, 7e5)])
+    def test_fifth_cnoidal(self, gamma, beta, c):
+        canon, mirror = (cn4_norm_derivative(gamma, b, s) for b, s in ((beta, c), (-beta, -c)))
+        assert mirror.terms == canon.terms
+        self.assert_same_index(mirror, canon)
+        canon, mirror = (family_reports("fifth-cnoidal", gamma, 0.0, b, [s], 0.0, "both", 200)[0]
+                         for b, s in ((beta, c), (-beta, -c)))
+        self.assert_same_index(mirror, canon)
 
 
 class TestFamilyReports:
@@ -629,10 +669,8 @@ class TestFamilyReports:
                 with pytest.raises(type(exc), match=re.escape(str(exc))):
                     family_reports(*args)
                 continue
-            try:  # an existing member is judged, or rejected as outside the theorem
-                family_reports(*args)
-            except ValueError:
-                pass
+            # a member the builder accepts is judged, its mirror included
+            assert all(rep.verdict == "stable" for rep in family_reports(*args))
         assert rejected > 0
 
     def test_empty_speed_list_rejected(self):
