@@ -42,7 +42,7 @@ def _check_modulus(k: float) -> float:
 
 
 def _complete_KED(k: float, kprime: float | None = None):
-    """K, E, D = (K - E)/k^2 and the Landen data of one AGM run from a0=1, b0=k', c0=k.
+    """K, E, D = (K - E)/k^2, U and the Landen data of one AGM run from a0=1, b0=k', c0=k.
 
     ``kprime`` defaults to sqrt((1 - k)(1 + k)); a caller that knows k' more
     accurately than that (k' of a small complementary modulus) passes it.
@@ -51,10 +51,21 @@ def _complete_KED(k: float, kprime: float | None = None):
     sum of positive terms, so no digit of a small k is lost to K - E.  The
     Landen data (2^N a_N, c_N/a_N, ..., c_1/a_1) is what :func:`jacobi_cn`
     descends with.
+
+    U = sum_(n>=1) 2^(n-1) (c_n/k^2)^2, so that D = K (1/2 + k^2 U), gives
+    dD/dk = (K - (2 - k^2) D)/(k k'^2) = K k (1/2 - (2 - k^2) U)/k'^2, whose
+    two terms are 4:1 apart for small k.  U needs every c_n to full relative
+    precision, and c_1 = (1 - k')/2 loses the digits of a small k, so U runs
+    on a second sequence v_n = c_n/k^2 from c_(n+1) = c_n^2/(4 a_(n+1)),
+    which has no subtraction.  It is kept one term ahead of the loop, so
+    that its first term, v_1 = 1/(4 a_1), is there however few steps the
+    AGM takes.
     """
     a, c = 1.0, k
     b = math.sqrt((1.0 - k) * (1.0 + k)) if kprime is None else kprime
     csum, dsum, power, ratios = (0.5 * k) * k, 0.5, 0.5, []
+    v = 1.0 / (2.0 * (a + b))
+    usum = v * v
     # the gap can stall at half an ulp of a, so the cutoff is one relative ulp
     while abs(c) > 2.3e-16 * a:
         if len(ratios) >= _MAX_AGM_ITER:
@@ -63,9 +74,12 @@ def _complete_KED(k: float, kprime: float | None = None):
         power *= 2.0
         csum += power * c * c
         dsum += power * (c / k) ** 2
+        # v_(n+1) = k^2 v_n^2 / (4 a_(n+1)), with 4 a_(n+1) = 2 (a_n + b_n)
+        v *= k * k * v / (2.0 * (a + b))
+        usum += 2.0 * power * v * v
         ratios.append(c / a)
     K = math.pi / (2.0 * a)
-    return K, K * (1.0 - csum), K * dsum, ((2.0 ** len(ratios)) * a, *ratios[::-1])
+    return K, K * (1.0 - csum), K * dsum, usum, ((2.0 ** len(ratios)) * a, *ratios[::-1])
 
 
 def jacobi_cn(z, k: float):
@@ -118,6 +132,7 @@ class EllipticContext:
     K, E      : complete integrals of the first and second kind at k
     Kprime    : K(k'), infinite at k = 0 in exact arithmetic (stored as inf)
     D         : Legendre integral (K - E)/k^2
+    dD        : its derivative dD/dk, formed without cancellation
     q         : nome exp(-pi K'/K)
     landen    : (2^N a_N, c_N/a_N, ..., c_1/a_1) of the AGM at k, for jacobi_cn
     """
@@ -128,6 +143,7 @@ class EllipticContext:
     E: float
     Kprime: float
     D: float
+    dD: float
     q: float
     landen: tuple[float, ...]
 
@@ -138,7 +154,7 @@ class EllipticContext:
         # -0.0 and 0.0 share a cache entry, so both build the context of 0.0
         k = _check_modulus(k) + 0.0
         kprime = math.sqrt((1.0 - k) * (1.0 + k))
-        K, E, D, landen = _complete_KED(k)
+        K, E, D, U, landen = _complete_KED(k)
         # K(k') from the AGM of (1, k): sqrt((1 - k')(1 + k')) has lost
         # the digits of a small k (it is 0 below k ~ 1e-8)
         Kprime = _complete_KED(kprime, k)[0] if k > 0.0 else math.inf
@@ -149,6 +165,7 @@ class EllipticContext:
             E=E,
             Kprime=Kprime,
             D=D,
+            dD=K * k * (0.5 - (2.0 - k * k) * U) / ((1.0 - k) * (1.0 + k)),
             q=math.exp(-math.pi * Kprime / K) if k > 0.0 else 0.0,
             landen=landen,
         )

@@ -318,7 +318,7 @@ def cn2_norm_derivative(gamma: float, alpha: float, c: float, flux_a: float,
         raise ValueError(f"unknown mode {mode!r}")
     cn, ctx = cn2_params(gamma, alpha, c, flux_a)
     k, emm, L0, delta = cn.modulus, cn.emm, cn.half_period, cn.delta
-    K, D, Kp = ctx.K, ctx.D, ctx.Kprime
+    K, D, dD, Kp = ctx.K, ctx.D, ctx.dD, ctx.Kprime
     k2 = k * k
     kp2 = (1.0 - k) * (1.0 + k)
     s2, s3 = _csch_sums(K, Kp)
@@ -326,7 +326,6 @@ def cn2_norm_derivative(gamma: float, alpha: float, c: float, flux_a: float,
     # derivatives in k; E(k') from Legendre's relation E K' + E' K - K K' = pi/2
     kmd = K - D
     dK = k * kmd / kp2
-    dD = (K - (2.0 - k2) * D) / (k * kp2)
     Ep = (0.5 * math.pi + Kp * k2 * D) / K
     dKp = -(Ep - k2 * Kp) / (k * kp2)
     dtau = math.pi * (K * dKp - Kp * dK) / K ** 2

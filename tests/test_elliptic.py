@@ -95,6 +95,22 @@ class TestLegendreD:
             rel = abs((ctx_of(k).D - exact) / exact)
         assert rel < 5e-16
 
+    @pytest.mark.parametrize("k", [1e-4, 0.009, 0.03, 0.085, 0.3, 0.9])
+    def test_derivative_against_mpmath(self, k):
+        # (K - (2 - k^2) D)/(k k'^2) cancels for small k: 2.4e-8 off at
+        # k = 1e-4 and 2.3e-12 at k = 0.009; the context's form does not
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            exact = mpmath.diff(lambda x: (mpmath.ellipk(x * x) - mpmath.ellipe(x * x)) / (x * x),
+                                mpmath.mpf(k))
+            rel = abs((ctx_of(k).dD - exact) / exact)
+        assert rel < 1e-15
+
+    @pytest.mark.parametrize("k", [0.0, 1e-300, 1e-20, 2e-16])
+    def test_derivative_below_the_agm_cutoff(self, k):
+        # the AGM takes at most one step here; dD/dk = 3 pi k/16 to rounding
+        assert ctx_of(k).dD == pytest.approx(3.0 * math.pi * k / 16.0, rel=1e-15, abs=0.0)
+
     def test_K_minus_D_positive(self):
         # sign condition behind the mean coefficient of the cn^2 wave
         for k in K_GRID:
@@ -102,23 +118,23 @@ class TestLegendreD:
 
 
 def agm_sequence(k, kprime=None):
-    """AGM sequences (a_n, c_n) starting from a0=1, b0=k', c0=k.
+    """AGM sequences (a_n, c_n, b_n) starting from a0=1, b0=k', c0=k.
 
     ``kprime`` defaults to sqrt((1 - k)(1 + k)); a caller that knows k' more
     accurately than that (k' of a small complementary modulus) passes it.
     """
     a = [1.0]
-    b = math.sqrt((1.0 - k) * (1.0 + k)) if kprime is None else kprime
+    b = [math.sqrt((1.0 - k) * (1.0 + k)) if kprime is None else kprime]
     c = [k]
     # the gap can stall at half an ulp of a, so the cutoff is one relative ulp
     while abs(c[-1]) > 2.3e-16 * a[-1]:
         if len(a) > elliptic._MAX_AGM_ITER:
             raise RuntimeError(f"AGM failed to converge for k={k!r}")
-        a_prev = a[-1]
-        a.append(0.5 * (a_prev + b))
-        c.append(0.5 * (a_prev - b))
-        b = math.sqrt(a_prev * b)
-    return a, c
+        a_prev, b_prev = a[-1], b[-1]
+        a.append(0.5 * (a_prev + b_prev))
+        c.append(0.5 * (a_prev - b_prev))
+        b.append(math.sqrt(a_prev * b_prev))
+    return a, c, b
 
 
 def jacobi_cn_reference(z, k):
@@ -127,7 +143,7 @@ def jacobi_cn_reference(z, k):
     if k < 1e-8:
         return np.cos(z)
     z = np.abs(z)
-    a, c = agm_sequence(k)
+    a, c, _ = agm_sequence(k)
     n_last = len(a) - 1
     K = math.pi / (2.0 * a[-1])
     z = np.mod(z + 2.0 * K, 4.0 * K) - 2.0 * K
@@ -139,8 +155,8 @@ def jacobi_cn_reference(z, k):
 
 
 def complete_KED_reference(k, kprime=None):
-    """The list-based K, E, D and Landen data, kept as the bitwise oracle of _complete_KED."""
-    a, c = agm_sequence(k, kprime)
+    """The list-based K, E, D, U and Landen data, kept as the bitwise oracle of _complete_KED."""
+    a, c, b = agm_sequence(k, kprime)
     csum = 0.0
     dsum = 0.5
     power = 0.5
@@ -149,10 +165,17 @@ def complete_KED_reference(k, kprime=None):
         if n:
             dsum += power * (cn_ / k) ** 2
         power *= 2.0
+    # v_n = c_n/k^2 for n = 1 .. N + 1, from v_(n+1) = k^2 v_n^2 / (4 a_(n+1))
+    v = [1.0 / (2.0 * (a[0] + b[0]))]
+    for n in range(1, len(a)):
+        v.append(v[-1] * (k * k * v[-1] / (2.0 * (a[n] + b[n]))))
+    usum = v[0] * v[0]
+    for n in range(1, len(v)):
+        usum += 2.0 ** n * v[n] * v[n]
     K = math.pi / (2.0 * a[-1])
     n_last = len(a) - 1
     landen = ((2.0 ** n_last) * a[-1], *(c[n] / a[n] for n in range(n_last, 0, -1)))
-    return K, K * (1.0 - csum), K * dsum, landen
+    return K, K * (1.0 - csum), K * dsum, usum, landen
 
 
 def context_bits(ctx):
@@ -171,8 +194,8 @@ class TestScalarAgm:
             [0.0, 1e-300, 0.02, np.nextafter(0.02, 0.0), np.nextafter(1.0, 0.0)],
         ])
         def bits(ked):
-            K, E, D, landen = ked
-            return struct.pack(f"<{3 + len(landen)}d", K, E, D, *landen)
+            K, E, D, U, landen = ked
+            return struct.pack(f"<{4 + len(landen)}d", K, E, D, U, *landen)
 
         for k in moduli.tolist():
             assert bits(elliptic._complete_KED(k)) == bits(complete_KED_reference(k)), k

@@ -451,6 +451,20 @@ class TestCn2ClosedForm:
     def test_matches_mpmath(self, c, flux, mode):
         assert_matches_mpmath(1.0, 1.0, c, flux, mode)
 
+    @pytest.mark.parametrize("c,flux", [(1.0, 1.0), (-0.7, 1.0), (-3.0, 0.1), (-20.0, 0.05),
+                                        (-100.0, 0.01)])
+    def test_d_K_minus_D_matches_mpmath(self, c, flux):
+        # dD/dk as (K - (2 - k^2) D)/(k k'^2) put 9.7e-14 (k = 0.085) to 5.9e-10
+        # (c = -100) into this term; the context's dD/dk does not cancel
+        def kmd(cc):
+            m, K, E = _mp_member(1.0, 1.0, cc, flux)[:3]
+            return K - (K - E) / m
+
+        with mp.workdps(50):
+            exact = mp.diff(kmd, mp.mpf(c))
+        got = cn2_norm_derivative(1.0, 1.0, c, flux).terms["d_K_minus_D"]
+        assert float(abs((got - exact) / exact)) < 5e-15
+
     def test_zero_speed_values(self):
         fixed_flux, fixed_period, _ = mpmath_derivatives(1.0, 1.0, 0.0, 1.0)
         assert fixed_flux == pytest.approx(2.23857, abs=5e-6)
