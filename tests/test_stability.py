@@ -589,7 +589,6 @@ class TestCn4Derivative:
         assert cn4_series_constant() > 2.0 / math.sinh(math.pi) ** 2
 
     def test_norm_value(self):
-        from fkdv.elliptic import EllipticContext
         K = EllipticContext.from_modulus(math.sqrt(2.0) / 2.0).K
         expected = 25.0 / 36.0 + 25.0 * math.pi ** 8 / (36.0 * K ** 8) * cn4_series_constant()
         assert cn4_ell2_norm_sq(1.0, 1.0) == pytest.approx(expected, rel=1e-14)
