@@ -400,24 +400,37 @@ def family_reports(family: str, gamma: float, alpha: float, beta: float, speeds,
     sech^4 soliton's speed is pinned by the medium, so it gives the single
     Gegenbauer report whatever ``speeds`` holds.  Every speed's member is
     validated by :func:`waves.family_member` first, so a member that the
-    builder rejects gets its error, not a verdict.
+    builder rejects gets its error, not a verdict.  An index (d/dc of the
+    norm, or I) that overflows, or underflows to 0 and so loses its sign,
+    is out of floating-point range and rejected with a ValueError too.
     """
     speeds = list(speeds)
     if not speeds:
         raise ValueError("stability reports need at least one speed")
     for c in speeds:
         family_member(family, gamma, alpha, beta, c, flux_a)
-    if family == FIFTH_SOLITON:
-        return [gegenbauer_verdict(GegenbauerSeriesSpec(gamma_coef=gamma), jmax=jmax)]
-    if family == KDV_SOLITON:
-        derivs = [(c, kdv_soliton_norm_derivative(gamma, alpha, c)) for c in speeds]
-        return [StabilityReport(family=family, c=c, norm_derivative=d, functional_i=None,
-                                verdict=_sign_verdict(d)) for c, d in derivs]
-    if family == KDV_CNOIDAL:
-        modes = ("fixed-flux", "fixed-period") if mode == "both" else (mode,)
-        return [cn2_norm_derivative(gamma, alpha, c, flux_a, mode=m)
-                for c in speeds for m in modes]
-    return [cn4_norm_derivative(gamma, beta, c) for c in speeds]
+    try:
+        if family == FIFTH_SOLITON:
+            reports = [gegenbauer_verdict(GegenbauerSeriesSpec(gamma_coef=gamma), jmax=jmax)]
+        elif family == KDV_SOLITON:
+            derivs = [(c, kdv_soliton_norm_derivative(gamma, alpha, c)) for c in speeds]
+            reports = [StabilityReport(family=family, c=c, norm_derivative=d, functional_i=None,
+                                       verdict=_sign_verdict(d)) for c, d in derivs]
+        elif family == KDV_CNOIDAL:
+            modes = ("fixed-flux", "fixed-period") if mode == "both" else (mode,)
+            reports = [cn2_norm_derivative(gamma, alpha, c, flux_a, mode=m)
+                       for c in speeds for m in modes]
+        else:
+            reports = [cn4_norm_derivative(gamma, beta, c) for c in speeds]
+    except ArithmeticError as exc:
+        raise ValueError(f"the {family} stability index is out of floating-point range "
+                         f"({type(exc).__name__})") from exc
+    for rep in reports:
+        for value in (rep.norm_derivative, rep.functional_i):
+            if value is not None and not 0.0 < abs(value) < math.inf:
+                raise ValueError(f"the {family} stability index {value} at c = {rep.c} "
+                                 "is out of floating-point range")
+    return reports
 
 
 def reports_to_csv(reports, path=None) -> str:

@@ -159,6 +159,14 @@ def _check_gamma(gamma: float) -> None:
         raise ValueError("gamma must be nonzero")
 
 
+def _check_finite(family: str, **values: float) -> None:
+    """Reject a member whose named quantities overflowed (or turned NaN)."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"the {family} member's {name} {value!r} "
+                             "is out of floating-point range")
+
+
 def _fifth_soliton(gamma, alpha, beta, c, flux_a):
     """sech^4 member; its speed 36 a^2/169 b is pinned, so ``c`` is not read."""
     _check_gamma(gamma)
@@ -202,6 +210,7 @@ def _cn2_shape(gamma: float, alpha: float, c: float,
         amp = 12.0 * flux_a / (sqrt_delta - 3.0 * c)
     else:
         amp = (3.0 * c + sqrt_delta) / (2.0 * gamma)
+    _check_finite(KDV_CNOIDAL, amplitude=amp)
     if amp * gamma <= 0.0:
         raise ValueError("amplitude*gamma must be positive for a real modulus")
     modulus = math.sqrt(amp * gamma) / delta ** 0.25
@@ -280,10 +289,22 @@ FAMILIES = {
 
 def family_member(family: str, gamma: float, alpha: float, beta: float, c: float,
                   flux_a: float):
-    """Validate one member of ``family``; see :data:`FAMILIES` for what it returns."""
+    """Validate one member of ``family``; see :data:`FAMILIES` for what it returns.
+
+    A member whose closed form overflows (an OverflowError or a division by
+    an underflowed zero) or whose speed, amplitude, width or flux is not
+    finite is out of floating-point range and rejected with a ValueError.
+    """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {tuple(FAMILIES)}")
-    return FAMILIES[family](gamma, alpha, beta, c, flux_a)
+    try:
+        member = FAMILIES[family](gamma, alpha, beta, c, flux_a)
+    except ArithmeticError as exc:
+        raise ValueError(f"the {family} member is out of floating-point range "
+                         f"({type(exc).__name__} in its closed form)") from exc
+    params, _, amp, width, _ = member
+    _check_finite(family, speed=params.c, amplitude=amp, width=width, flux=params.flux_a)
+    return member
 
 
 def build_profile(family: str, gamma: float, alpha: float, beta: float,

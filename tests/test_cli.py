@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import fkdv
-from fkdv import cli, pde, waves
+from fkdv import cli, fourier, pde, waves
 from fkdv.cli import main
 
 
@@ -17,6 +18,18 @@ def run(argv):
 
 def unreachable(args):
     raise AssertionError("validation should have stopped the command")
+
+
+def verify_rows(out):
+    """verify's check table: {name: (value, tolerance, status)}."""
+    rows = {}
+    for line in out.splitlines():
+        if "  tolerance " in line:
+            head, tail = line.split("  tolerance ")
+            name, value = head.rsplit(None, 1)
+            tol, status = tail.split()
+            rows[name] = (float(value), float(tol), status)
+    return rows
 
 
 class TestProfileCommand:
@@ -77,14 +90,50 @@ class TestVerifyCommand:
             code = run(["verify", "--family", "kdv-soliton", "--c", "1e200",
                         "--out", str(tmp_path / "v")])
         assert code == 1
-        assert "FAIL: first law not constant: std/scale = nan" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "FAIL: law-1 std/scale" in out
+        value, tol, status = verify_rows(out)["law-1 std/scale"]
+        assert math.isnan(value) and tol == 1e-6 and status == "FAIL"
 
     def test_zero_scale_fails(self, tmp_path, capsys):
         # u^2 underflows at c = 1e-300, so both laws' scales are exactly zero
+        # and neither std/scale ratio is defined
         assert run(["verify", "--family", "fifth-cnoidal", "--c", "1e-300",
                     "--out", str(tmp_path / "v")]) == 1
-        assert ("FAIL: zero conservation scale: law1 0.000e+00, law2 0.000e+00"
-                in capsys.readouterr().out)
+        out = capsys.readouterr().out
+        assert "FAIL: law-1 std/scale" in out
+        rows = verify_rows(out)
+        for name in ("law-1 std/scale", "law-2 std/scale"):
+            assert math.isnan(rows[name][0]) and rows[name][2] == "FAIL"
+        profile = waves.build_profile("fifth-cnoidal", 1.0, 1.0, 1.0, 1e-300, 1.0)
+        check = waves.conservation_residuals(profile)
+        assert check.scale1 == check.scale2 == 0.0
+
+    def test_nan_dft_coefficient_fails(self, tmp_path, capsys, monkeypatch):
+        # the coefficient error propagates NaN; it was dropped and verify passed
+        dft_coeffs = fourier.dft_coeffs
+
+        def one_nan(profile, n_max):
+            values = dft_coeffs(profile, n_max).values.copy()
+            values[3] = math.nan
+            return fourier.CoeffSequence(values)
+
+        monkeypatch.setattr(fourier, "dft_coeffs", one_nan)
+        assert run(["verify", "--family", "kdv-cnoidal", "--out", str(tmp_path / "v")]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL: coeff rel err (n <= 12)" in out
+        assert math.isnan(verify_rows(out)["coeff rel err (n <= 12)"][0])
+        assert (tmp_path / "v_coeffs.csv").read_text().splitlines()[4].endswith(",nan,nan")
+
+    @pytest.mark.parametrize("family, count", [("fifth-soliton", 4), ("kdv-soliton", 4),
+                                               ("kdv-cnoidal", 6), ("fifth-cnoidal", 6)])
+    def test_one_row_per_check(self, family, count, tmp_path, capsys):
+        assert run(["verify", "--family", family, "--out", str(tmp_path / "v")]) == 0
+        out = capsys.readouterr().out
+        rows = verify_rows(out)
+        assert len(rows) == count == out.count("tolerance")
+        for value, tol, status in rows.values():
+            assert value <= tol and status == "ok"
 
     def test_cnoidal_discriminant_overflow_is_a_usage_error(self, tmp_path, capsys):
         assert run(["verify", "--family", "kdv-cnoidal", "--c", "1e200",
@@ -109,15 +158,14 @@ class TestVerifyCommand:
         # least minor is the gamma = A = 1 member's
         assert run(["verify", "--family", "kdv-cnoidal", "--gamma", "-1", "--A", "-1",
                     "--out", str(tmp_path / "v")]) == 0
-        assert ("PF(2) of the mirrored sequence -u_hat: min minor 5.337e-47, "
-                "tolerance 3.258e-14 (ok)") in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "PF(2) is checked on the mirrored sequence -u_hat" in out
+        assert verify_rows(out)["-(least PF(2) minor)"] == (-5.337e-47, 3.258e-14, "ok")
 
     def test_verify_prints_pf2_minor_next_to_its_tolerance(self, tmp_path, capsys):
         assert run(["verify", "--family", "fifth-cnoidal", "--out", str(tmp_path / "v")]) == 0
-        (line,) = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("PF(2)")]
-        minor, tol = line.removeprefix("PF(2): min minor ").removesuffix(" (ok)").split(
-            ", tolerance ")
-        assert float(minor) >= -float(tol) and float(tol) > 0.0
+        negated_minor, tol, status = verify_rows(capsys.readouterr().out)["-(least PF(2) minor)"]
+        assert negated_minor <= tol and tol > 0.0 and status == "ok"
 
 
 class TestStabilityCommand:
@@ -125,8 +173,8 @@ class TestStabilityCommand:
         code = run(["stability", "--family", "fifth-soliton", "--out", str(tmp_path / "s")])
         assert code == 0
         out = capsys.readouterr().out
-        b0 = float(out.split("|b0|")[1].splitlines()[0])
-        tail_sum = float(out.split("sum_(j>=1)")[1].splitlines()[0])
+        b0 = abs(float(out.split("term b0 =")[1].splitlines()[0]))
+        tail_sum = float(out.split("partial sum =")[1].split(",")[0])
         assert b0 == pytest.approx(6.14e-5, rel=0.01)
         assert tail_sum == pytest.approx(5.05e-6, rel=0.01)
         assert "stable" in out
@@ -373,7 +421,49 @@ class TestValidation:
         assert "PF(2)" in capsys.readouterr().out
 
 
+class TestOutOfRange:
+    # each raised OverflowError or ZeroDivisionError, succeeded with a
+    # non-finite flux, or blamed the modulus for an overflowed amplitude
+    @pytest.mark.parametrize("argv, reason", [
+        (["profile", "--family", "fifth-soliton", "--alpha", "1e200"], "member"),
+        (["verify", "--family", "fifth-soliton", "--alpha", "1e200"], "member"),
+        (["stability", "--family", "fifth-soliton", "--alpha", "1e200"], "member"),
+        (["profile", "--family", "fifth-cnoidal", "--c", "1e300"], "member's flux -inf"),
+        (["verify", "--family", "fifth-cnoidal", "--c", "1e300"], "member's flux -inf"),
+        (["stability", "--family", "kdv-soliton", "--gamma", "1e200"], "stability index"),
+        (["stability", "--family", "kdv-soliton", "--gamma", "1e-200"], "stability index"),
+        (["stability", "--family", "kdv-cnoidal", "--alpha", "1e200"], "stability index"),
+        (["stability", "--family", "kdv-cnoidal", "--alpha", "1e-200"], "stability index"),
+        (["stability", "--family", "fifth-cnoidal", "--gamma", "1e200"], "stability index"),
+        (["stability", "--family", "fifth-cnoidal", "--gamma", "1e-200"], "stability index"),
+        (["stability", "--family", "fifth-cnoidal", "--c", "1e200"], "member's flux -inf"),
+        (["stability", "--family", "kdv-cnoidal", "--gamma", "1e-320", "--A", "1e-320"],
+         "member's amplitude inf"),
+    ])
+    def test_usage_error_names_the_family(self, argv, reason, tmp_path, capsys):
+        assert run([*argv, "--out", str(tmp_path / "o")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: the {argv[2]} {reason}")
+        assert "out of floating-point range" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestConfigFile:
+    @pytest.mark.parametrize("count, code", [(10_000, 0), (10_001, 2)])
+    def test_speed_grid_cap(self, count, code, tmp_path, monkeypatch, capsys):
+        seen = []
+        monkeypatch.setitem(cli._COMMANDS, "stability", lambda args: seen.append(args) or 0)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("c-grid = " + ",".join(["1"] * count) + "\n")
+        assert run(["stability", "--family", "kdv-soliton", "--config", str(cfg)]) == code
+        if code:
+            assert capsys.readouterr().err == (
+                "error: --c-grid holds 10001 speeds, above the cap of 10000\n")
+            assert seen == []
+        else:
+            assert seen[0].speeds == [1.0] * count
+
     def test_file_sets_and_flag_overrides(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("gamma = 2.0\nc = 4.0  # speed from file\n")

@@ -686,6 +686,27 @@ class TestFamilyReports:
             assert all(rep.verdict == "stable" for rep in family_reports(*args))
         assert rejected > 0
 
+    @pytest.mark.parametrize("family, gamma, alpha, beta, c, index", [
+        # 36 sqrt(alpha c) / gamma^2: alpha c underflows to 0, which read "not stable"
+        ("kdv-soliton", 1.0, 1e-300, 0.0, 1e-300, "0.0"),
+        # 192 |gamma| / pi overflows
+        ("fifth-soliton", 1e307, 1.0, 1.0, 1.0, "-inf"),
+    ])
+    def test_index_out_of_range_is_rejected(self, family, gamma, alpha, beta, c, index):
+        build_profile(family, gamma, alpha, beta, c, 1.0)
+        with pytest.raises(ValueError, match=re.escape(f"the {family} stability index {index} ")):
+            family_reports(family, gamma, alpha, beta, [c], 1.0, "both", 200)
+
+    @pytest.mark.parametrize("family, gamma, alpha, beta, c, error", [
+        ("kdv-soliton", 1e200, 1.0, 0.0, 1.0, "OverflowError"),
+        ("kdv-cnoidal", 1.0, 1e-200, 0.0, 1.0, "ZeroDivisionError"),
+        ("fifth-cnoidal", 1e200, 0.0, 1.0, 1.0, "OverflowError"),
+    ])
+    def test_arithmetic_error_is_rejected(self, family, gamma, alpha, beta, c, error):
+        build_profile(family, gamma, alpha, beta, c, 1.0)
+        with pytest.raises(ValueError, match=re.escape(f"({error})")):
+            family_reports(family, gamma, alpha, beta, [c], 1.0, "both", 200)
+
     def test_empty_speed_list_rejected(self):
         with pytest.raises(ValueError, match="at least one speed"):
             family_reports("fifth-soliton", 1.0, 1.0, 1.0, [], 1.0, "both", 200)

@@ -249,6 +249,23 @@ class TestProfileGeometry:
             build_profile("breather", 1.0, 1.0, 1.0, 1.0, 1.0)
 
 
+class TestOutOfRange:
+    @pytest.mark.parametrize("family, gamma, alpha, beta, c, flux, what", [
+        # alpha ** 2 raised OverflowError
+        ("fifth-soliton", 1.0, 1e200, 1.0, 1.0, 0.0, "(OverflowError in its closed form)"),
+        ("fifth-cnoidal", 1.0, 0.0, 1.0, 1e300, 0.0, "member's flux -inf"),
+        ("fifth-soliton", 1.0, 1e-10, 1e300, 1.0, 0.0, "member's width inf"),
+        # the amplitude overflowed and the modulus was blamed as degenerate
+        ("kdv-cnoidal", 1e-320, 1.0, 0.0, 1.0, 1e-320, "member's amplitude inf"),
+    ])
+    def test_member_is_rejected_by_family(self, family, gamma, alpha, beta, c, flux, what):
+        with pytest.raises(ValueError) as exc:
+            build_profile(family, gamma, alpha, beta, c, flux)
+        assert not isinstance(exc.value, DegenerateModulusError)
+        assert str(exc.value).startswith(f"the {family} ")
+        assert what in str(exc.value) and "out of floating-point range" in str(exc.value)
+
+
 class TestSampler:
     @given(family=st.sampled_from(sorted(FAMILIES)),
            n_samples=st.one_of(st.just(0), st.integers(64, 5000)),
