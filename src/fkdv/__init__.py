@@ -48,10 +48,6 @@ from .waves import (
     DegenerateModulusError,
     MediumParams,
     WaveProfile,
-    build_fifth_order_cnoidal,
-    build_fifth_order_soliton,
-    build_kdv_cnoidal,
-    build_kdv_soliton,
     build_profile,
     conservation_residuals,
 )

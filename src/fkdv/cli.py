@@ -183,6 +183,17 @@ def cmd_profile(args) -> int:
     return 0
 
 
+def conservation_rows(check: waves.ConservationCheck, p: waves.MediumParams):
+    """``verify``'s four conservation-law rows (name, value, tolerance); a row passes when
+    value <= tolerance, and a ratio to a zero or non-finite scale is NaN, so it fails."""
+    ratio1, ratio2 = (float(np.std(law)) / scale if 0.0 < scale < math.inf else math.nan
+                      for law, scale in ((check.law1, check.scale1), (check.law2, check.scale2)))
+    return [("law-1 std/scale", ratio1, 1e-6),
+            ("|law-1 mean - A|", abs(check.mean1 - p.flux_a), 1e-6 * max(1.0, check.scale1)),
+            ("law-2 std/scale", ratio2, 1e-4),
+            ("|law-2 mean - B|", abs(check.mean2 - p.flux_b), 1e-4 * max(1.0, check.scale2))]
+
+
 def cmd_verify(args) -> int:
     profile = _build_profile(args)
     # the DFT oracle of the coefficients needs 8 samples per harmonic
@@ -200,15 +211,7 @@ def cmd_verify(args) -> int:
     p = profile.params
     print(f"conservation: law1 mean {check.mean1:.6e} (declared A {p.flux_a:.6e}), "
           f"law2 mean {check.mean2:.6e} (declared B {p.flux_b:.6e})")
-    # an underflowing profile has zero scales and an overflowing one non-finite
-    # scales; neither is a yardstick, so the ratio is NaN and its row fails
-    ratio1, ratio2 = (float(np.std(law)) / scale if 0.0 < scale < math.inf else math.nan
-                      for law, scale in ((check.law1, check.scale1), (check.law2, check.scale2)))
-    # (name, value, tolerance); a row passes when value <= tolerance, so NaN fails
-    rows = [("law-1 std/scale", ratio1, 1e-6),
-            ("|law-1 mean - A|", abs(check.mean1 - p.flux_a), 1e-6 * max(1.0, check.scale1)),
-            ("law-2 std/scale", ratio2, 1e-4),
-            ("|law-2 mean - B|", abs(check.mean2 - p.flux_b), 1e-4 * max(1.0, check.scale2))]
+    rows = conservation_rows(check, p)
 
     if profile.periodic:
         nmax = args.nmax

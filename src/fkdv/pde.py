@@ -242,27 +242,26 @@ def default_dt(state: SpectralState) -> float:
     return min(0.5 * dx / speed, _DT_CAP)
 
 
-def evolve(state: SpectralState, t_end: float, dt: float | None = None,
-           record_every: int = 50, reference: np.ndarray | None = None):
+def evolve(state: SpectralState, t_end: float, dt: float, record_every: int,
+           reference: np.ndarray | None = None):
     """Run to t_end, recording diagnostics every ``record_every`` steps.
 
-    Mass and momentum are the grid integrals of u and u^2 (both conserved by
-    the flow; the mean mode is untouched by construction, so mass is exact).
-    Distances are shift-minimized H^1/H^2 distances to ``reference`` when
-    one is given, else zero.  Returns (final_state, records); records always
-    include t = 0 and the final time.  A run of zero length (``t_end`` equal
-    to the state's time) takes no step and returns the state with one
-    record.  Rejected before the first step: a
-    non-finite ``t_end`` or ``dt``, a backward run (``t_end`` before the
-    state's time), ``dt <= 0``, ``record_every < 1`` and a run of more than
-    ``_STEPS_CAP`` steps.
+    ``dt`` is shortened so that a whole number of steps reaches t_end;
+    :func:`default_dt` gives the advective bound.  Mass and momentum are the
+    grid integrals of u and u^2 (both conserved by the flow; the mean mode is
+    untouched by construction, so mass is exact).  Distances are
+    shift-minimized H^1/H^2 distances to ``reference`` when one is given,
+    else zero.  Returns (final_state, records); records always include t = 0
+    and the final time.  A run of zero length (``t_end`` equal to the state's
+    time) takes no step and returns the state with one record.  Rejected
+    before the first step: a non-finite ``t_end`` or ``dt``, a backward run
+    (``t_end`` before the state's time), ``dt <= 0``, ``record_every < 1``
+    and a run of more than ``_STEPS_CAP`` steps.
     """
     if not math.isfinite(t_end):
         raise ValueError(f"t_end must be finite, got {t_end!r}")
     if t_end < state.time:
         raise ValueError(f"t_end = {t_end!r} lies before the state's time {state.time!r}")
-    if dt is None:
-        dt = default_dt(state)
     if not math.isfinite(dt) or dt <= 0.0:
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
     if record_every < 1:
@@ -503,7 +502,8 @@ def stability_experiment(profile: WaveProfile, perturbation: Perturbation | None
 
     ``horizon`` defaults to ten characteristic times; ``grid_n`` to 1024 on
     solitary boxes and 512 on the single-wavelength periodic box (which a
-    cnoidal wave over-resolves already).  The report holds the diagnostics
+    cnoidal wave over-resolves already); ``dt`` to :func:`default_dt` of the
+    perturbed state.  The report holds the diagnostics
     series plus max/initial distances in both H^1 and H^2, covering the two
     readings of the stability definition.
     """
@@ -515,6 +515,8 @@ def stability_experiment(profile: WaveProfile, perturbation: Perturbation | None
     if perturbation is not None:
         state = replace(state, field=apply_perturbation(
             state.field, perturbation, state.domain_length, profile.amplitude))
+    if dt is None:
+        dt = default_dt(state)
     final, records = evolve(state, horizon, dt=dt, record_every=record_every,
                             reference=reference)
     return ExperimentReport(

@@ -16,8 +16,8 @@ Each family has one member function with the signature (gamma, alpha, beta,
 c, flux_a).  It states where a member exists, rejecting any other with a
 ValueError, and returns the member's parameters, amplitude, width and
 closed-form evaluator.  ``FAMILIES`` maps each family name to it;
-``family_member`` looks a family up and validates, and ``build_profile``
-(with the four public builders on top) is that lookup plus one sampler.
+``family_member`` looks a family up and validates, and ``build_profile``,
+the one constructor, is that lookup plus one sampler.
 
 Every profile satisfies the first integral of the traveling ODE,
 
@@ -54,14 +54,9 @@ __all__ = [
     "WaveProfile",
     "ConservationCheck",
     "DegenerateModulusError",
-    "build_fifth_order_soliton",
-    "build_kdv_soliton",
-    "build_kdv_cnoidal",
-    "build_fifth_order_cnoidal",
     "build_profile",
     "family_member",
     "cn2_params",
-    "cn4_wavelength",
     "conservation_residuals",
     "profile_to_csv",
     "write_csv",
@@ -181,9 +176,10 @@ def _fifth_soliton(gamma, alpha, beta, c, flux_a):
 
 
 def _kdv_soliton(gamma, alpha, beta, c, flux_a):
-    """sech^2 member of the KdV limit (beta = 0)."""
+    """sech^2 member of the KdV limit (beta = 0), right-moving for alpha > 0 and left-moving
+    for alpha < 0; the sign rule reads c and alpha, not c/alpha, which can underflow."""
     _check_gamma(gamma)
-    if alpha == 0.0 or c / alpha <= 0.0:
+    if c == 0.0 or alpha == 0.0 or (c < 0.0) != (alpha < 0.0):
         raise ValueError("the sech^2 soliton needs c/alpha > 0")
     amp = 3.0 * c / gamma
     s = 0.5 * math.sqrt(c / alpha)
@@ -248,7 +244,8 @@ def cn2_params(gamma: float, alpha: float, c: float,
 
 
 def _kdv_cnoidal(gamma, alpha, beta, c, flux_a):
-    """cn^2 member of the KdV limit (beta = 0); see :func:`cn2_params`."""
+    """cn^2 member of the KdV limit (beta = 0); see :func:`cn2_params`.  It needs alpha > 0:
+    negative alpha would force the |alpha| variants of the stability terms, not admitted here."""
     cn, _ = cn2_params(gamma, alpha, c, flux_a)
     amp, modulus = cn.amplitude, cn.modulus
     b = cn.delta ** 0.25 / (2.0 * math.sqrt(3.0 * alpha))
@@ -256,19 +253,18 @@ def _kdv_cnoidal(gamma, alpha, beta, c, flux_a):
     return params, cn, amp, cn.wavelength, lambda xi: amp * jacobi_cn(b * xi, modulus) ** 2
 
 
-def cn4_wavelength(beta: float, c: float) -> float:
-    """Wavelength 2 sqrt2 (42 beta/c)^{1/4} K(sqrt2/2) of the cn^4 wave."""
-    return 2.0 * math.sqrt(2.0) * (42.0 * beta / c) ** 0.25 * CN4_K
-
-
 def _fifth_cnoidal(gamma, alpha, beta, c, flux_a):
-    """cn^4 member of the beta-only equation (alpha = 0); its flux is forced."""
+    """cn^4 member of the beta-only equation (alpha = 0); c and beta share a sign.
+
+    Its flux is forced: at the trough u and its first three derivatives vanish while
+    u_xixixixi does not, so flux_a = -5 c^2/(56 gamma) and the one passed in is not read.
+    """
     _check_gamma(gamma)
-    if beta == 0.0 or c / beta <= 0.0:
+    if c == 0.0 or beta == 0.0 or (c < 0.0) != (beta < 0.0):
         raise ValueError("the cn^4 wave needs c/beta > 0")
     amp = 5.0 * c / (2.0 * gamma)
     s = CN4_MODULUS * (c / (42.0 * beta)) ** 0.25
-    wavelength = cn4_wavelength(beta, c)
+    wavelength = 2.0 * math.sqrt(2.0) * (42.0 * beta / c) ** 0.25 * CN4_K
     cn = CnoidalParams(delta=math.nan, amplitude=amp, modulus=CN4_MODULUS, emm=math.nan,
                        wavelength=wavelength, half_period=wavelength / 2.0)
     params = MediumParams(gamma=gamma, alpha=0.0, beta=beta, c=c,
@@ -335,40 +331,6 @@ def build_profile(family: str, gamma: float, alpha: float, beta: float,
     half = evaluator(xi[:d // 2 + 1])
     u = np.concatenate([half, half[d + 1 - points:(d + 1) // 2][::-1]])
     return WaveProfile(family, params, cnoidal, amp, xi, u, periodic, evaluator, width)
-
-
-def build_fifth_order_soliton(gamma: float, alpha: float, beta: float,
-                              n_samples: int = 2049) -> WaveProfile:
-    """sech^4 soliton of the full fifth-order equation; speed 36 a^2/169 b."""
-    return build_profile(FIFTH_SOLITON, gamma, alpha, beta, 0.0, 0.0, n_samples)
-
-
-def build_kdv_soliton(gamma: float, alpha: float, c: float,
-                      n_samples: int = 2049) -> WaveProfile:
-    """sech^2 KdV soliton (beta = 0); right-moving for alpha > 0, left for alpha < 0."""
-    return build_profile(KDV_SOLITON, gamma, alpha, 0.0, c, 0.0, n_samples)
-
-
-def build_kdv_cnoidal(gamma: float, alpha: float, c: float, flux_a: float,
-                      n_samples: int = 512) -> WaveProfile:
-    """cn^2 cnoidal wave of the KdV limit with mass flux ``flux_a``.
-
-    Requires alpha > 0 (negative alpha would force the |alpha| variants of
-    the stability terms, which this toolkit does not admit) and
-    flux_a*gamma > 0; see :func:`cn2_params`.
-    """
-    return build_profile(KDV_CNOIDAL, gamma, alpha, 0.0, c, flux_a, n_samples)
-
-
-def build_fifth_order_cnoidal(gamma: float, beta: float, c: float,
-                              n_samples: int = 512) -> WaveProfile:
-    """cn^4 cnoidal wave of the beta-only equation; modulus fixed at sqrt2/2.
-
-    The first-integral constant is forced by the profile itself: at the
-    trough u and its first three derivatives vanish while u_xixixixi does
-    not, giving flux_a = -5 c^2 / (56 gamma).
-    """
-    return build_profile(FIFTH_CNOIDAL, gamma, 0.0, beta, c, 0.0, n_samples)
 
 
 # ---------------------------------------------------------------------------

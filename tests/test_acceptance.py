@@ -23,10 +23,11 @@ from fkdv.stability import (
     kdv_soliton_norm_derivative,
 )
 from fkdv.waves import (
-    build_fifth_order_cnoidal,
-    build_fifth_order_soliton,
-    build_kdv_cnoidal,
-    build_kdv_soliton,
+    FIFTH_CNOIDAL,
+    FIFTH_SOLITON,
+    KDV_CNOIDAL,
+    KDV_SOLITON,
+    build_profile,
     conservation_residuals,
 )
 
@@ -64,13 +65,13 @@ def kdv_soliton_norm_sq(gamma, alpha, c):
 def test_criterion_2_kdv_soliton_norm():
     with criterion(2, "sech^2 norm closed form and derivative", 1.0):
         for gamma, alpha, c in [(1.0, 1.0, 1.0), (2.0, 0.5, 1.5), (0.7, 2.0, 0.4)]:
-            prof = build_kdv_soliton(gamma, alpha, c, n_samples=4097)
+            prof = build_profile(KDV_SOLITON, gamma, alpha, 0.0, c, 0.0, n_samples=4097)
             quad = float(np.trapezoid(prof.u ** 2, prof.xi))
             assert quad == pytest.approx(kdv_soliton_norm_sq(gamma, alpha, c), rel=1e-6)
 
             h = 1e-4 * c
-            up = build_kdv_soliton(gamma, alpha, c + h, n_samples=4097)
-            dn = build_kdv_soliton(gamma, alpha, c - h, n_samples=4097)
+            up = build_profile(KDV_SOLITON, gamma, alpha, 0.0, c + h, 0.0, n_samples=4097)
+            dn = build_profile(KDV_SOLITON, gamma, alpha, 0.0, c - h, 0.0, n_samples=4097)
             fd = (np.trapezoid(up.u ** 2, up.xi) - np.trapezoid(dn.u ** 2, dn.xi)) / (2 * h)
             assert fd == pytest.approx(kdv_soliton_norm_derivative(gamma, alpha, c), rel=1e-3)
 
@@ -89,20 +90,20 @@ def _coeffs_match(analytic, numeric, n_max):
 def test_criterion_3_fourier_cross_validation():
     with criterion(3, "analytic coefficients match the transform oracle", 5.0):
         for c, flux in [(1.0, 1.0), (1.0, 0.03), (2.0, 5.0)]:
-            prof = build_kdv_cnoidal(1.0, 1.0, c, flux, n_samples=4096)
+            prof = build_profile(KDV_CNOIDAL, 1.0, 1.0, 0.0, c, flux, n_samples=4096)
             _coeffs_match(cn2_coeffs(prof.cnoidal, 12), dft_coeffs(prof, 12), 12)
         for gamma, beta, c in [(1.0, 1.0, 1.0), (1.0, 0.5, 2.0), (3.0, 2.0, 0.7)]:
-            prof = build_fifth_order_cnoidal(gamma, beta, c, n_samples=4096)
+            prof = build_profile(FIFTH_CNOIDAL, gamma, 0.0, beta, c, 0.0, n_samples=4096)
             _coeffs_match(cn4_coeffs_halfmodulus(prof, 12), dft_coeffs(prof, 12), 12)
 
 
 def test_criterion_4_conservation_laws():
     with criterion(4, "both conservation laws on all four families", 10.0):
         profiles = [
-            build_fifth_order_soliton(1.0, 1.0, 1.0),
-            build_kdv_soliton(1.0, 1.0, 1.0),
-            build_kdv_cnoidal(1.0, 1.0, 1.0, 1.0),
-            build_fifth_order_cnoidal(1.0, 1.0, 1.0),
+            build_profile(FIFTH_SOLITON, 1.0, 1.0, 1.0, 0.0, 0.0),
+            build_profile(KDV_SOLITON, 1.0, 1.0, 0.0, 1.0, 0.0),
+            build_profile(KDV_CNOIDAL, 1.0, 1.0, 0.0, 1.0, 1.0),
+            build_profile(FIFTH_CNOIDAL, 1.0, 0.0, 1.0, 1.0, 0.0),
         ]
         for prof in profiles:
             check = conservation_residuals(prof)
@@ -118,11 +119,11 @@ def test_criterion_5_pf2_minors():
     with criterion(5, "PF(2) minors over the parameter grid", 5.0):
         for c in (0.5, 1.0, 2.0):
             for flux in (0.3, 1.0, 3.0):
-                prof = build_kdv_cnoidal(1.0, 1.0, c, flux)
+                prof = build_profile(KDV_CNOIDAL, 1.0, 1.0, 0.0, c, flux)
                 report = pf2_check(cn2_coeffs(prof.cnoidal, 24), window=12)
                 assert report.passed, (c, flux, report.min_minor)
         for c in np.linspace(0.25, 4.0, 9):
-            prof = build_fifth_order_cnoidal(1.0, 1.0, float(c))
+            prof = build_profile(FIFTH_CNOIDAL, 1.0, 0.0, 1.0, float(c), 0.0)
             report = pf2_check(cn4_coeffs_halfmodulus(prof, 24), window=12)
             assert report.passed, (c, report.min_minor)
 
@@ -143,7 +144,7 @@ def test_criterion_6_cnoidal_stability_indices():
 def test_criterion_7_dynamics():
     with criterion(7, "orbital stability under the pseudospectral flow", 300.0):
         # exact fifth-order soliton to t = 10 on a 40-width box
-        soliton = build_fifth_order_soliton(1.0, 1.0, 1.0)
+        soliton = build_profile(FIFTH_SOLITON, 1.0, 1.0, 1.0, 0.0, 0.0)
         state, ref = state_from_profile(soliton, grid_n=1024)
         final, records = evolve(state, 10.0, dt=0.01, record_every=100, reference=ref)
         dist_h2, _ = orbital_distance(final.field, ref, state.domain_length, 2)
@@ -158,9 +159,9 @@ def test_criterion_7_dynamics():
         # 1% amplitude perturbation of every family over ten characteristic times
         profiles = [
             soliton,
-            build_kdv_soliton(1.0, 1.0, 1.0),
-            build_kdv_cnoidal(1.0, 1.0, 1.0, 1.0),
-            build_fifth_order_cnoidal(1.0, 1.0, 1.0),
+            build_profile(KDV_SOLITON, 1.0, 1.0, 0.0, 1.0, 0.0),
+            build_profile(KDV_CNOIDAL, 1.0, 1.0, 0.0, 1.0, 1.0),
+            build_profile(FIFTH_CNOIDAL, 1.0, 0.0, 1.0, 1.0, 0.0),
         ]
         for prof in profiles:
             rep = stability_experiment(prof, Perturbation("scale", 0.01),

@@ -19,7 +19,7 @@ from fkdv.fourier import (
     Pf2Report,
     pf2_check,
 )
-from fkdv.waves import build_fifth_order_cnoidal, build_kdv_cnoidal, build_kdv_soliton
+from fkdv.waves import FIFTH_CNOIDAL, KDV_CNOIDAL, KDV_SOLITON, build_profile
 
 CN2_SETS = [(1.0, 1.0), (1.0, 0.03), (2.0, 5.0)]  # (c, flux)
 
@@ -35,7 +35,7 @@ def ell2_norm_sq(seq):
 
 class TestCn2Coeffs:
     def test_mean_coefficient_definition(self):
-        prof = build_kdv_cnoidal(1.0, 1.0, 1.0, 1.0)
+        prof = build_profile(KDV_CNOIDAL, 1.0, 1.0, 0.0, 1.0, 1.0)
         cn = prof.cnoidal
         seq = cn2_coeffs(cn, 8)
         ctx = EllipticContext.from_modulus(cn.modulus)
@@ -44,7 +44,7 @@ class TestCn2Coeffs:
 
     @pytest.mark.parametrize("c,flux", CN2_SETS)
     def test_match_dft_oracle(self, c, flux):
-        prof = build_kdv_cnoidal(1.0, 1.0, c, flux, n_samples=4096)
+        prof = build_profile(KDV_CNOIDAL, 1.0, 1.0, 0.0, c, flux, n_samples=4096)
         analytic = cn2_coeffs(prof.cnoidal, 16)
         numeric = dft_coeffs(prof, 16)
         floor = 1e-6 * analytic[0]
@@ -55,13 +55,13 @@ class TestCn2Coeffs:
     def test_all_positive_on_parameter_grid(self):
         for c in (0.5, 1.0, 2.0):
             for flux in (0.2, 1.0, 5.0):
-                prof = build_kdv_cnoidal(1.0, 1.0, c, flux)
+                prof = build_profile(KDV_CNOIDAL, 1.0, 1.0, 0.0, c, flux)
                 assert np.all(cn2_coeffs(prof.cnoidal, 20).values > 0.0)
 
     def test_decay_rate(self):
         # coeff(n) = C n csch(n pi K'/K) ~ 2C n q^n, so successive ratios
         # approach ((n+1)/n) exp(-pi K'/K) geometrically fast
-        prof = build_kdv_cnoidal(1.0, 1.0, 1.0, 1.0)
+        prof = build_profile(KDV_CNOIDAL, 1.0, 1.0, 0.0, 1.0, 1.0)
         ctx = EllipticContext.from_modulus(prof.cnoidal.modulus)
         seq = cn2_coeffs(prof.cnoidal, 17)
         decay = math.exp(-math.pi * ctx.Kprime / ctx.K)
@@ -72,7 +72,7 @@ class TestCn2Coeffs:
 
 class TestCn4Coeffs:
     def test_mean_value(self):
-        prof = build_fifth_order_cnoidal(1.0, 1.0, 1.0)
+        prof = build_profile(FIFTH_CNOIDAL, 1.0, 0.0, 1.0, 1.0, 0.0)
         seq = cn4_coeffs_halfmodulus(prof, 8)
         assert seq[0] == pytest.approx(5.0 / 6.0, rel=1e-15)
 
@@ -85,7 +85,7 @@ class TestCn4Coeffs:
 
     @pytest.mark.parametrize("gamma,beta,c", [(1.0, 1.0, 1.0), (1.0, 0.5, 2.0), (3.0, 2.0, 0.7)])
     def test_match_dft_oracle(self, gamma, beta, c):
-        prof = build_fifth_order_cnoidal(gamma, beta, c, n_samples=4096)
+        prof = build_profile(FIFTH_CNOIDAL, gamma, 0.0, beta, c, 0.0, n_samples=4096)
         analytic = cn4_coeffs_halfmodulus(prof, 12)
         numeric = dft_coeffs(prof, 12)
         floor = 1e-6 * analytic[0]
@@ -94,12 +94,12 @@ class TestCn4Coeffs:
             assert err <= 1e-8 * max(abs(analytic[n]), floor)
 
     def test_rejects_wrong_family(self):
-        prof = build_kdv_cnoidal(1.0, 1.0, 1.0, 1.0)
+        prof = build_profile(KDV_CNOIDAL, 1.0, 1.0, 0.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             cn4_coeffs_halfmodulus(prof, 8)
 
     def test_decay_rate(self):
-        prof = build_fifth_order_cnoidal(1.0, 1.0, 1.0)
+        prof = build_profile(FIFTH_CNOIDAL, 1.0, 0.0, 1.0, 1.0, 0.0)
         seq = cn4_coeffs_halfmodulus(prof, 13)
         decay = math.exp(-math.pi)
         for n in range(6, 13):
@@ -135,7 +135,7 @@ class TestDftCoeffs:
             dft_cosine_coeffs(np.zeros(64), 16)
 
     def test_requires_periodic_profile(self):
-        prof = build_kdv_soliton(1.0, 1.0, 1.0)
+        prof = build_profile(KDV_SOLITON, 1.0, 1.0, 0.0, 1.0, 0.0)
         with pytest.raises(ValueError):
             dft_coeffs(prof, 8)
 
@@ -152,7 +152,7 @@ class TestParseval:
     @pytest.mark.parametrize("c,flux", CN2_SETS)
     def test_mean_square_identity(self, c, flux):
         # sum_{n in Z} coeff(n)^2 = (1/2L) int u^2, with no extra weights
-        prof = build_kdv_cnoidal(1.0, 1.0, c, flux, n_samples=4096)
+        prof = build_profile(KDV_CNOIDAL, 1.0, 1.0, 0.0, c, flux, n_samples=4096)
         seq = cn2_coeffs(prof.cnoidal, 60)
         mean_sq = float(np.mean(prof.u ** 2))
         assert ell2_norm_sq(seq) == pytest.approx(mean_sq, rel=1e-8)
@@ -279,14 +279,14 @@ class TestPf2:
         assert pf2_check(ratio ** ((n / width) ** 2), window=6).passed
 
     def test_cn2_coefficients_pass(self):
-        prof = build_kdv_cnoidal(1.0, 1.0, 1.0, 1.0)
+        prof = build_profile(KDV_CNOIDAL, 1.0, 1.0, 0.0, 1.0, 1.0)
         seq = cn2_coeffs(prof.cnoidal, 24)
         report = pf2_check(seq, window=12)
         assert report.passed
         assert report.min_minor >= -report.tolerance
 
     def test_cn4_coefficients_pass(self):
-        prof = build_fifth_order_cnoidal(1.0, 1.0, 1.0)
+        prof = build_profile(FIFTH_CNOIDAL, 1.0, 0.0, 1.0, 1.0, 0.0)
         seq = cn4_coeffs_halfmodulus(prof, 24)
         assert pf2_check(seq, window=12).passed
 
@@ -337,8 +337,9 @@ class TestPf2:
 
     @pytest.mark.parametrize("window", [0, 1, 2, 7, 12, 24])
     def test_cnoidal_reports_match_bruteforce(self, window):
-        cn2 = cn2_coeffs(build_kdv_cnoidal(1.0, 1.0, 1.0, 1.0).cnoidal, max(1, 2 * window))
-        cn4 = cn4_coeffs_halfmodulus(build_fifth_order_cnoidal(1.0, 1.0, 1.0), max(1, 2 * window))
+        reach = max(1, 2 * window)
+        cn2 = cn2_coeffs(build_profile(KDV_CNOIDAL, 1.0, 1.0, 0.0, 1.0, 1.0).cnoidal, reach)
+        cn4 = cn4_coeffs_halfmodulus(build_profile(FIFTH_CNOIDAL, 1.0, 0.0, 1.0, 1.0, 0.0), reach)
         for seq in (cn2, cn4):
             assert_same_report(pf2_check(seq, window=window),
                                pf2_check_bruteforce(seq, window=window))
@@ -386,8 +387,9 @@ class TestPf2:
 
     @pytest.mark.parametrize("window", [30, 36, 48, 60])
     def test_cnoidal_reports_match_classes(self, window):
-        cn2 = cn2_coeffs(build_kdv_cnoidal(1.0, 1.0, 1.0, 1.0).cnoidal, 2 * window)
-        cn4 = cn4_coeffs_halfmodulus(build_fifth_order_cnoidal(1.0, 1.0, 1.0), 2 * window)
+        reach = 2 * window
+        cn2 = cn2_coeffs(build_profile(KDV_CNOIDAL, 1.0, 1.0, 0.0, 1.0, 1.0).cnoidal, reach)
+        cn4 = cn4_coeffs_halfmodulus(build_profile(FIFTH_CNOIDAL, 1.0, 0.0, 1.0, 1.0, 0.0), reach)
         for seq in (cn2, cn4):
             assert_same_report(pf2_check(seq, window=window),
                                pf2_check_classes(seq, window=window))
@@ -414,8 +416,8 @@ class TestPf2:
         # 64 is the CLI's --nmax cap
         rng = np.random.default_rng(1000 + window)
         reach = 2 * window
-        cn2 = cn2_coeffs(build_kdv_cnoidal(1.0, 1.0, 0.7, 2.0).cnoidal, reach)
-        cn4 = cn4_coeffs_halfmodulus(build_fifth_order_cnoidal(1.0, 1.0, 2.5), reach)
+        cn2 = cn2_coeffs(build_profile(KDV_CNOIDAL, 1.0, 1.0, 0.0, 0.7, 2.0).cnoidal, reach)
+        cn4 = cn4_coeffs_halfmodulus(build_profile(FIFTH_CNOIDAL, 1.0, 0.0, 1.0, 2.5, 0.0), reach)
         two_spikes = np.zeros(2 * reach + 1)
         two_spikes[reach] = two_spikes[reach + 3] = 1.0
         seqs = [cn2, cn4, pooled_sequence(rng, reach), pooled_sequence(rng, window + 1),
@@ -440,7 +442,7 @@ class TestPf2:
     def test_window_64_memory(self):
         # the one-table check this replaced peaked at 1.58 MB (passing cn^4)
         # and 1.83 MB (failing uniform) here
-        seq = cn4_coeffs_halfmodulus(build_fifth_order_cnoidal(1.0, 1.0, 1.0), 128)
+        seq = cn4_coeffs_halfmodulus(build_profile(FIFTH_CNOIDAL, 1.0, 0.0, 1.0, 1.0, 0.0), 128)
         report, peak = self.peak_bytes(seq, 64)
         assert report.passed
         assert peak < 1.58 * 2 ** 20
@@ -450,7 +452,7 @@ class TestPf2:
         assert peak < 1.83 * 2 ** 20
 
     def test_window_60_memory(self):
-        seq = cn4_coeffs_halfmodulus(build_fifth_order_cnoidal(1.0, 1.0, 1.0), 120)
+        seq = cn4_coeffs_halfmodulus(build_profile(FIFTH_CNOIDAL, 1.0, 0.0, 1.0, 1.0, 0.0), 120)
         tracemalloc.start()
         try:
             report = pf2_check(seq, window=60)
@@ -463,13 +465,13 @@ class TestPf2:
 
 class TestAnalyticDispatch:
     def test_family_picks_the_formula(self):
-        cn2 = build_kdv_cnoidal(1.0, 1.0, 1.0, 1.0)
-        cn4 = build_fifth_order_cnoidal(1.0, 1.0, 1.0)
+        cn2 = build_profile(KDV_CNOIDAL, 1.0, 1.0, 0.0, 1.0, 1.0)
+        cn4 = build_profile(FIFTH_CNOIDAL, 1.0, 0.0, 1.0, 1.0, 0.0)
         assert np.array_equal(analytic_coeffs(cn2, 8).values, cn2_coeffs(cn2.cnoidal, 8).values)
         assert np.array_equal(analytic_coeffs(cn4, 8).values,
                               cn4_coeffs_halfmodulus(cn4, 8).values)
         with pytest.raises(ValueError):
-            analytic_coeffs(build_kdv_soliton(1.0, 1.0, 1.0), 8)
+            analytic_coeffs(build_profile(KDV_SOLITON, 1.0, 1.0, 0.0, 1.0, 0.0), 8)
 
 
 class TestCoeffSequence:
@@ -481,7 +483,7 @@ class TestCoeffSequence:
     def test_zero_tail_past_overflow(self):
         # n pi K'/K passes the csch overflow bound after n = 288 here; the
         # tail is exact zeros
-        prof = build_kdv_cnoidal(1.0, 1.0, 1.0, 1.0)
+        prof = build_profile(KDV_CNOIDAL, 1.0, 1.0, 0.0, 1.0, 1.0)
         seq = cn2_coeffs(prof.cnoidal, 400)
         assert np.all(seq.values[:289] > 0.0)
         assert not np.any(seq.values[289:])

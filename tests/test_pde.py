@@ -19,13 +19,7 @@ from fkdv.pde import (
 )
 from dataclasses import replace
 
-from fkdv.waves import (
-    MediumParams,
-    build_fifth_order_soliton,
-    build_kdv_cnoidal,
-    build_kdv_soliton,
-    build_profile,
-)
+from fkdv.waves import FIFTH_SOLITON, KDV_CNOIDAL, KDV_SOLITON, MediumParams, build_profile
 
 
 def sobolev_norm(u, domain_length, s):
@@ -46,8 +40,12 @@ def spectral_shift(u, y, domain_length):
 
 
 def soliton_state(grid_n=1024):
-    prof = build_fifth_order_soliton(1.0, 1.0, 1.0)
+    prof = build_profile(FIFTH_SOLITON, 1.0, 1.0, 1.0, 0.0, 0.0)
     return state_from_profile(prof, grid_n=grid_n)
+
+
+def kdv_soliton_state(grid_n=256):
+    return state_from_profile(build_profile(KDV_SOLITON, 1.0, 1.0, 0.0, 1.0, 0.0), grid_n=grid_n)
 
 
 def unreachable_step(*args):
@@ -265,7 +263,7 @@ class TestSolitonPropagation:
         errs = []
         for n in (128, 256, 512):
             # beta != 0 needs n >= 256; use the KdV soliton so n = 128 is legal
-            state, _ = state_from_profile(build_kdv_soliton(1.0, 1.0, 1.0), grid_n=n)
+            state, _ = kdv_soliton_state(grid_n=n)
             final, _ = evolve(state, 1.0, dt=0.0008, record_every=10 ** 9)
             box = state.domain_length
             xs = np.mod(final.x - 1.0 + box / 2, box) - box / 2
@@ -286,14 +284,14 @@ class TestSolitonPropagation:
             assert 3.5 < order < 5.0
 
     def test_blow_up_detection(self):
-        prof = build_kdv_soliton(1.0, 1.0, 1.0)
+        prof = build_profile(KDV_SOLITON, 1.0, 1.0, 0.0, 1.0, 0.0)
         state, _ = state_from_profile(prof, grid_n=512)
         with pytest.raises(BlowUpError):
             evolve(state, 50.0, dt=2.0, record_every=1)
 
     def test_advection_term_is_a_frame_change(self):
         # evolving with C != 0 equals the C = 0 run followed by a shift by -Ct
-        prof = build_kdv_soliton(1.0, 1.0, 1.0)
+        prof = build_profile(KDV_SOLITON, 1.0, 1.0, 0.0, 1.0, 0.0)
         state0, _ = state_from_profile(prof, grid_n=512)
         cee = 0.8
         moving = SpectralState(
@@ -404,17 +402,32 @@ class TestPerturbations:
 
 class TestExperiments:
     def test_unperturbed_soliton_stays_on_orbit(self):
-        prof = build_fifth_order_soliton(1.0, 1.0, 1.0)
+        prof = build_profile(FIFTH_SOLITON, 1.0, 1.0, 1.0, 0.0, 0.0)
         report = stability_experiment(prof, None, horizon=5.0, dt=0.01,
                                       record_every=100)
         assert report.max_dist_h2 < 1e-5 * prof.amplitude
 
     def test_perturbed_soliton_bounded(self):
-        prof = build_kdv_soliton(1.0, 1.0, 1.0)
+        prof = build_profile(KDV_SOLITON, 1.0, 1.0, 0.0, 1.0, 0.0)
         report = stability_experiment(prof, Perturbation("scale", 0.01),
                                       horizon=4.0, dt=0.005, record_every=100)
         assert report.initial_dist_h2 > 0.0
         assert report.ratio_h2 < 5.0
+
+    def test_default_dt_is_taken_on_the_perturbed_state(self):
+        prof = build_profile(KDV_CNOIDAL, 1.0, 1.0, 0.0, 1.0, 1.0)
+        pert = Perturbation("noise", 0.02, seed=5)
+        report = stability_experiment(prof, pert, horizon=0.5)
+        state, ref = state_from_profile(prof, grid_n=512)
+        perturbed = replace(state, field=apply_perturbation(state.field, pert,
+                                                            state.domain_length, prof.amplitude))
+        # the noise lifts the peak, so the advective bound moves off the wave's own
+        assert default_dt(perturbed) < default_dt(state) < 0.01
+        final, records = evolve(perturbed, 0.5, dt=default_dt(perturbed), record_every=50,
+                                reference=ref)
+        assert len(records) > 2 and report.records == records
+        assert np.array_equal(report.final_state.field, final.field)
+        assert report.final_state.time == final.time
 
     def test_zero_field_diagnostics(self):
         n = 128
@@ -426,43 +439,43 @@ class TestExperiments:
             assert r.dist_h1 == 0.0 and r.dist_h2 == 0.0
 
     def test_characteristic_time(self):
-        prof = build_kdv_soliton(1.0, 1.0, 1.0)
+        prof = build_profile(KDV_SOLITON, 1.0, 1.0, 0.0, 1.0, 0.0)
         assert characteristic_time(prof) == pytest.approx(2.0, rel=1e-14)
 
     def test_box_and_time_follow_the_width(self):
-        fifth = build_fifth_order_soliton(1.0, 1.0, 1.0)
+        fifth = build_profile(FIFTH_SOLITON, 1.0, 1.0, 1.0, 0.0, 0.0)
         state, _ = state_from_profile(fifth, grid_n=256)
         assert state.domain_length == 40.0 * 2.0 * math.sqrt(13.0)
-        cn2 = build_kdv_cnoidal(1.0, 1.0, 2.0, 1.0)
+        cn2 = build_profile(KDV_CNOIDAL, 1.0, 1.0, 0.0, 2.0, 1.0)
         state, _ = state_from_profile(cn2, grid_n=256)
         assert state.domain_length == cn2.cnoidal.wavelength
         assert characteristic_time(cn2) == cn2.cnoidal.wavelength / 2.0
 
     def test_backward_run_rejected(self):
-        state, _ = state_from_profile(build_kdv_soliton(1.0, 1.0, 1.0), grid_n=256)
+        state, _ = kdv_soliton_state()
         with pytest.raises(ValueError, match="before"):
-            evolve(replace(state, time=5.0), 1.0)
+            evolve(replace(state, time=5.0), 1.0, dt=0.01, record_every=1)
 
     @pytest.mark.parametrize("dt", [0.0, -0.01])
     def test_nonpositive_dt_rejected(self, dt):
-        state, _ = state_from_profile(build_kdv_soliton(1.0, 1.0, 1.0), grid_n=256)
+        state, _ = kdv_soliton_state()
         with pytest.raises(ValueError, match="dt"):
-            evolve(state, 1.0, dt=dt)
+            evolve(state, 1.0, dt=dt, record_every=1)
 
     @pytest.mark.parametrize("record_every", [0, -3])
     def test_nonpositive_record_every_rejected(self, record_every):
-        state, _ = state_from_profile(build_kdv_soliton(1.0, 1.0, 1.0), grid_n=256)
+        state, _ = kdv_soliton_state()
         with pytest.raises(ValueError, match="record_every"):
             evolve(state, 1.0, dt=0.1, record_every=record_every)
 
     def test_default_dt_cfl(self):
-        prof = build_kdv_soliton(1.0, 1.0, 1.0)
+        prof = build_profile(KDV_SOLITON, 1.0, 1.0, 0.0, 1.0, 0.0)
         state, _ = state_from_profile(prof, grid_n=512)
         dx = state.domain_length / 512
         assert default_dt(state) == pytest.approx(min(0.5 * dx / 3.0, 0.01), rel=1e-12)
 
     def test_initial_distances_are_the_first_record(self):
-        prof = build_kdv_soliton(1.0, 1.0, 1.0)
+        prof = build_profile(KDV_SOLITON, 1.0, 1.0, 0.0, 1.0, 0.0)
         report = stability_experiment(prof, Perturbation("cosine", 0.01, mode=2),
                                       horizon=0.1, grid_n=256, dt=0.01)
         state, ref = state_from_profile(prof, grid_n=256)
@@ -476,28 +489,28 @@ class TestTimeInputs:
     @pytest.fixture
     def state(self, monkeypatch):
         monkeypatch.setattr(pde, "_step_spectrum", unreachable_step)
-        return state_from_profile(build_kdv_soliton(1.0, 1.0, 1.0), grid_n=256)[0]
+        return kdv_soliton_state()[0]
 
     @pytest.mark.parametrize("t_end", [math.inf, -math.inf, math.nan])
     def test_non_finite_t_end_rejected(self, state, t_end):
         with pytest.raises(ValueError, match=f"t_end must be finite, got {t_end!r}"):
-            evolve(state, t_end, dt=0.01)
+            evolve(state, t_end, dt=0.01, record_every=1)
 
     @pytest.mark.parametrize("dt", [math.inf, math.nan])
     def test_non_finite_dt_rejected(self, state, dt):
         with pytest.raises(ValueError, match=f"dt must be positive and finite, got {dt!r}"):
-            evolve(state, 1.0, dt=dt)
+            evolve(state, 1.0, dt=dt, record_every=1)
 
     @pytest.mark.parametrize("t0", [0.0, 2.5])
     def test_zero_length_run_takes_no_step(self, state, t0):
         state = replace(state, time=t0)
-        final, records = evolve(state, t0, dt=0.01, reference=state.field)
+        final, records = evolve(state, t0, dt=0.01, record_every=1, reference=state.field)
         assert final is state
         assert [r.time for r in records] == [t0]
 
     def test_step_count_cap(self, state):
         with pytest.raises(ValueError, match="20000000000 steps, above the cap of 1000000"):
-            evolve(state, 20.0, dt=1e-9)
+            evolve(state, 20.0, dt=1e-9, record_every=1)
 
     def test_step_count_cap_admits_its_bound(self, state, monkeypatch):
         monkeypatch.setattr(pde, "_step_spectrum", lambda uh, coeffs, ws: uh)

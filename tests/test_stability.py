@@ -25,7 +25,7 @@ from fkdv.stability import (
 )
 from fkdv import stability
 from fkdv.elliptic import EllipticContext
-from fkdv.waves import FAMILIES, build_kdv_cnoidal, build_kdv_soliton, build_profile, cn2_params
+from fkdv.waves import FAMILIES, FIFTH_CNOIDAL, KDV_CNOIDAL, KDV_SOLITON, build_profile, cn2_params
 
 B0 = Fraction(-891, 14515200)
 
@@ -214,7 +214,7 @@ class TestKdvSolitonNorm:
         h = 1e-4 * c
 
         def norm_sq(cc):
-            prof = build_kdv_soliton(gamma, alpha, cc, n_samples=4097)
+            prof = build_profile(KDV_SOLITON, gamma, alpha, 0.0, cc, 0.0, n_samples=4097)
             return float(np.trapezoid(prof.u ** 2, prof.xi))
 
         fd = (norm_sq(c + h) - norm_sq(c - h)) / (2.0 * h)
@@ -402,21 +402,22 @@ class TestCn2Derivative:
             _richardson_checked(noisy, 1.0)
 
     def test_fixed_period_holds_wavelength(self):
-        prof = build_kdv_cnoidal(1.0, 1.0, 1.0, 1.0)
+        prof = build_profile(KDV_CNOIDAL, 1.0, 1.0, 0.0, 1.0, 1.0)
         lam0 = prof.cnoidal.wavelength
         for cc in (0.99, 1.01):
             flux = solve_flux_for_wavelength(1.0, 1.0, cc, lam0)
-            lam = build_kdv_cnoidal(1.0, 1.0, cc, flux).cnoidal.wavelength
+            lam = build_profile(KDV_CNOIDAL, 1.0, 1.0, 0.0, cc, flux).cnoidal.wavelength
             assert lam == pytest.approx(lam0, rel=1e-12)
 
     @pytest.mark.parametrize("c,flux", [(0.5, 2.0), (1.0, 1.0), (3.0, 0.3)])
     def test_fixed_period_flux_matches_brentq(self, c, flux):
         brentq = pytest.importorskip("scipy.optimize").brentq
-        lam0 = build_kdv_cnoidal(1.0, 1.0, c, flux).cnoidal.wavelength
+        lam0 = build_profile(KDV_CNOIDAL, 1.0, 1.0, 0.0, c, flux).cnoidal.wavelength
         got = solve_flux_for_wavelength(1.0, 1.0, 1.01 * c, lam0, flux_guess=flux)
-        oracle = brentq(
-            lambda a: build_kdv_cnoidal(1.0, 1.0, 1.01 * c, a).cnoidal.wavelength - lam0,
-            0.5 * got, 2.0 * got, xtol=1e-14, rtol=8.9e-16)
+
+        def gap(a):
+            return build_profile(KDV_CNOIDAL, 1.0, 1.0, 0.0, 1.01 * c, a).cnoidal.wavelength - lam0
+        oracle = brentq(gap, 0.5 * got, 2.0 * got, xtol=1e-14, rtol=8.9e-16)
         assert got == pytest.approx(oracle, rel=1e-13)
 
     @pytest.mark.parametrize("mode", ["fixed-flux", "fixed-period"])
@@ -434,7 +435,7 @@ class TestCn2Derivative:
         assert rep.norm_derivative == pytest.approx(mirror.norm_derivative, rel=1e-9)
 
     def test_fixed_period_flux_takes_the_sign_of_gamma(self):
-        lam0 = build_kdv_cnoidal(1.0, 1.0, 1.0, 1.0).cnoidal.wavelength
+        lam0 = build_profile(KDV_CNOIDAL, 1.0, 1.0, 0.0, 1.0, 1.0).cnoidal.wavelength
         pos = solve_flux_for_wavelength(1.0, 1.0, 1.01, lam0, flux_guess=1.0)
         neg = solve_flux_for_wavelength(-1.0, 1.0, 1.01, lam0, flux_guess=-1.0)
         assert neg == -pos
@@ -576,7 +577,7 @@ class TestParsevalBridge:
     @pytest.mark.parametrize("c,flux", [(1.0, 1.0), (0.5, 2.0), (2.0, 0.5)])
     def test_norm_equals_grid_quadrature(self, c, flux):
         # ties the analytic coefficient norm to the profile itself
-        prof = build_kdv_cnoidal(1.0, 1.0, c, flux, n_samples=4096)
+        prof = build_profile(KDV_CNOIDAL, 1.0, 1.0, 0.0, c, flux, n_samples=4096)
         norm = cn2_ell2_norm_sq(1.0, 1.0, c, flux)
         assert norm == pytest.approx(float(np.mean(prof.u ** 2)), rel=1e-7)
 
@@ -600,8 +601,7 @@ class TestCn4Derivative:
         assert rep.verdict == "stable"
 
     def test_parseval_bridge(self):
-        from fkdv.waves import build_fifth_order_cnoidal
-        prof = build_fifth_order_cnoidal(1.0, 1.0, 1.0, n_samples=4096)
+        prof = build_profile(FIFTH_CNOIDAL, 1.0, 0.0, 1.0, 1.0, 0.0, n_samples=4096)
         assert cn4_ell2_norm_sq(1.0, 1.0) == pytest.approx(float(np.mean(prof.u ** 2)), rel=1e-7)
 
     def test_domain(self):

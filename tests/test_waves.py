@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import re
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -11,15 +12,16 @@ from hypothesis import strategies as st
 
 import fkdv.elliptic as elliptic
 import fkdv.waves as waves
+from fkdv.cli import conservation_rows
 from fkdv.elliptic import EllipticContext, jacobi_cn
 from fkdv.waves import (
     FAMILIES,
+    FIFTH_CNOIDAL,
+    FIFTH_SOLITON,
+    KDV_CNOIDAL,
+    KDV_SOLITON,
     DegenerateModulusError,
     MediumParams,
-    build_fifth_order_cnoidal,
-    build_fifth_order_soliton,
-    build_kdv_cnoidal,
-    build_kdv_soliton,
     build_profile,
     cn2_params,
     conservation_residuals,
@@ -37,59 +39,59 @@ def cn2_wavelength(gamma, alpha, c, flux_a):
 
 def all_four_profiles():
     return [
-        build_fifth_order_soliton(1.0, 1.0, 1.0),
-        build_kdv_soliton(1.0, 1.0, 1.0),
-        build_kdv_cnoidal(1.0, 1.0, 1.0, 1.0),
-        build_fifth_order_cnoidal(1.0, 1.0, 1.0),
+        build_profile(FIFTH_SOLITON, 1.0, 1.0, 1.0, 0.0, 0.0),
+        build_profile(KDV_SOLITON, 1.0, 1.0, 0.0, 1.0, 0.0),
+        build_profile(KDV_CNOIDAL, 1.0, 1.0, 0.0, 1.0, 1.0),
+        build_profile(FIFTH_CNOIDAL, 1.0, 0.0, 1.0, 1.0, 0.0),
     ]
 
 
 class TestFifthOrderSoliton:
     def test_peak_value(self):
-        prof = build_fifth_order_soliton(1.0, 1.0, 1.0)
+        prof = build_profile(FIFTH_SOLITON, 1.0, 1.0, 1.0, 0.0, 0.0)
         assert prof.evaluate(0.0) == pytest.approx(105.0 / 169.0, rel=1e-14)
         assert prof.amplitude == pytest.approx(0.621302, rel=1e-5)
 
     def test_speed_locked_by_dispersion(self):
-        prof = build_fifth_order_soliton(1.0, 1.0, 1.0)
+        prof = build_profile(FIFTH_SOLITON, 1.0, 1.0, 1.0, 0.0, 0.0)
         assert prof.params.c == pytest.approx(36.0 / 169.0, rel=1e-15)
         assert prof.params.c == pytest.approx(0.213018, rel=1e-5)
 
     def test_far_field_decay(self):
-        prof = build_fifth_order_soliton(1.0, 1.0, 1.0)
+        prof = build_profile(FIFTH_SOLITON, 1.0, 1.0, 1.0, 0.0, 0.0)
         assert prof.evaluate(50.0) < 1e-9
 
     @pytest.mark.parametrize("alpha,beta", [(-1.0, 1.0), (1.0, -1.0), (0.0, 1.0)])
     def test_domain(self, alpha, beta):
-        with pytest.raises(ValueError):
-            build_fifth_order_soliton(1.0, alpha, beta)
+        with pytest.raises(ValueError, match="needs alpha > 0 and beta > 0"):
+            build_profile(FIFTH_SOLITON, 1.0, alpha, beta, 0.0, 0.0)
 
     def test_zero_gamma_rejected(self):
         with pytest.raises(ValueError):
-            build_fifth_order_soliton(0.0, 1.0, 1.0)
+            build_profile(FIFTH_SOLITON, 0.0, 1.0, 1.0, 0.0, 0.0)
 
 
 class TestKdvSoliton:
     def test_peak_value(self):
-        prof = build_kdv_soliton(1.0, 1.0, 1.0)
+        prof = build_profile(KDV_SOLITON, 1.0, 1.0, 0.0, 1.0, 0.0)
         assert prof.evaluate(0.0) == pytest.approx(3.0, rel=1e-14)
 
     def test_left_moving_branch(self):
         # alpha < 0 admits c < 0
-        prof = build_kdv_soliton(1.0, -1.0, -1.0)
+        prof = build_profile(KDV_SOLITON, 1.0, -1.0, 0.0, -1.0, 0.0)
         assert prof.params.c == -1.0
         assert prof.evaluate(0.0) == pytest.approx(-3.0, rel=1e-14)
 
-    @pytest.mark.parametrize("alpha,c", [(1.0, -1.0), (-1.0, 1.0), (1.0, 0.0)])
+    @pytest.mark.parametrize("alpha,c", [(1.0, -1.0), (-1.0, 1.0), (1.0, 0.0), (0.0, 1.0)])
     def test_domain(self, alpha, c):
-        with pytest.raises(ValueError):
-            build_kdv_soliton(1.0, alpha, c)
+        with pytest.raises(ValueError, match="needs c/alpha > 0"):
+            build_profile(KDV_SOLITON, 1.0, alpha, 0.0, c, 0.0)
 
     @pytest.mark.parametrize("gamma,alpha,c", [(1.0, 1.0, 1.0), (2.0, 0.5, 1.5), (0.7, 2.0, 0.4)])
     def test_l2_norm_closed_form(self, gamma, alpha, c):
         # ||phi||^2 = 24 sqrt(alpha) c^{3/2} / gamma^2; trapezoid quadrature of
         # the rapidly decaying samples is spectrally accurate on the window
-        prof = build_kdv_soliton(gamma, alpha, c)
+        prof = build_profile(KDV_SOLITON, gamma, alpha, 0.0, c, 0.0)
         norm_sq = np.trapezoid(prof.u ** 2, prof.xi)
         assert norm_sq == pytest.approx(24.0 * math.sqrt(alpha) * c ** 1.5 / gamma ** 2,
                                         rel=1e-6)
@@ -101,7 +103,7 @@ class TestKdvSoliton:
 
 class TestKdvCnoidal:
     def test_derived_parameters(self):
-        prof = build_kdv_cnoidal(1.0, 1.0, 1.0, 1.0)
+        prof = build_profile(KDV_CNOIDAL, 1.0, 1.0, 0.0, 1.0, 1.0)
         cn = prof.cnoidal
         assert cn.delta == pytest.approx(33.0, rel=1e-15)
         assert cn.amplitude == pytest.approx((3.0 + math.sqrt(33.0)) / 2.0, rel=1e-14)
@@ -109,38 +111,38 @@ class TestKdvCnoidal:
 
     def test_emm_identities(self):
         for c, flux in [(1.0, 1.0), (0.5, 2.0), (2.0, 0.3)]:
-            cn = build_kdv_cnoidal(1.0, 1.0, c, flux).cnoidal
+            cn = build_profile(KDV_CNOIDAL, 1.0, 1.0, 0.0, c, flux).cnoidal
             assert cn.emm == pytest.approx(6.0 * cn.modulus ** 2, rel=1e-13)  # gamma = alpha = 1
             assert cn.emm == pytest.approx(6.0 * cn.amplitude / math.sqrt(cn.delta), rel=1e-13)
 
     def test_wavelength_formula(self):
-        cn = build_kdv_cnoidal(1.0, 1.0, 1.0, 1.0).cnoidal
+        cn = build_profile(KDV_CNOIDAL, 1.0, 1.0, 0.0, 1.0, 1.0).cnoidal
         expected = 4.0 * math.sqrt(3.0) * EllipticContext.from_modulus(cn.modulus).K / 33.0 ** 0.25
         assert cn.wavelength == pytest.approx(expected, rel=1e-14)
 
     def test_zero_flux_degenerates(self):
         with pytest.raises(DegenerateModulusError):
-            build_kdv_cnoidal(1.0, 1.0, 1.0, 0.0)
+            build_profile(KDV_CNOIDAL, 1.0, 1.0, 0.0, 1.0, 0.0)
 
     def test_negative_discriminant(self):
         with pytest.raises(ValueError):
-            build_kdv_cnoidal(1.0, 1.0, 0.1, -1.0)
+            build_profile(KDV_CNOIDAL, 1.0, 1.0, 0.0, 0.1, -1.0)
 
     def test_crest_and_trough(self):
-        prof = build_kdv_cnoidal(1.0, 1.0, 1.0, 1.0)
+        prof = build_profile(KDV_CNOIDAL, 1.0, 1.0, 0.0, 1.0, 1.0)
         cn = prof.cnoidal
         assert prof.evaluate(0.0) == pytest.approx(cn.amplitude, rel=1e-14)
         assert abs(prof.evaluate(cn.wavelength / 2.0)) < 1e-12
 
     def test_positive_when_flux_gamma_positive(self):
-        prof = build_kdv_cnoidal(1.0, 1.0, 1.0, 1.0)
+        prof = build_profile(KDV_CNOIDAL, 1.0, 1.0, 0.0, 1.0, 1.0)
         assert np.all(prof.u >= 0.0)
         xi = np.linspace(-prof.cnoidal.half_period, prof.cnoidal.half_period, 1001)
         assert np.all(prof.evaluate(xi) >= -1e-15)
 
     def test_compact_form_matches(self):
         # (2 M K^2 / L^2) cn^2(K xi / L) is the same wave as A cn^2(b xi)
-        prof = build_kdv_cnoidal(1.0, 1.0, 1.0, 1.0)
+        prof = build_profile(KDV_CNOIDAL, 1.0, 1.0, 0.0, 1.0, 1.0)
         cn = prof.cnoidal
         K = EllipticContext.from_modulus(cn.modulus).K
         L = cn.half_period
@@ -150,13 +152,13 @@ class TestKdvCnoidal:
 
     def test_alpha_restriction(self):
         with pytest.raises(ValueError):
-            build_kdv_cnoidal(1.0, -1.0, 1.0, 1.0)
+            build_profile(KDV_CNOIDAL, 1.0, -1.0, 0.0, 1.0, 1.0)
 
     @pytest.mark.parametrize("gamma,flux", [(1.0, -0.1), (-1.0, 0.1)])
     def test_flux_against_gamma_has_no_wave(self, gamma, flux):
         # flux*gamma < 0 pushes the modulus past 1: no real wave, not a soliton limit
         with pytest.raises(ValueError, match="mass flux of the sign of gamma") as exc:
-            build_kdv_cnoidal(gamma, 1.0, 1.0, flux)
+            build_profile(KDV_CNOIDAL, gamma, 1.0, 0.0, 1.0, flux)
         assert not isinstance(exc.value, DegenerateModulusError)
 
     def test_wavelength_is_bitwise_the_params_wavelength(self):
@@ -197,34 +199,34 @@ class TestKdvCnoidal:
 
     def test_params_helper_matches_builder(self):
         cn, ctx = cn2_params(1.0, 1.0, 1.3, 0.7)
-        assert cn == build_kdv_cnoidal(1.0, 1.0, 1.3, 0.7).cnoidal
+        assert cn == build_profile(KDV_CNOIDAL, 1.0, 1.0, 0.0, 1.3, 0.7).cnoidal
         assert ctx.k == cn.modulus
 
 
 class TestFifthOrderCnoidal:
     def test_peak_value(self):
-        prof = build_fifth_order_cnoidal(1.0, 1.0, 1.0)
+        prof = build_profile(FIFTH_CNOIDAL, 1.0, 0.0, 1.0, 1.0, 0.0)
         assert prof.evaluate(0.0) == pytest.approx(2.5, rel=1e-14)
 
     @pytest.mark.parametrize("gamma,beta,c", [(1.0, 1.0, 1.0), (2.0, 0.5, 3.0)])
     def test_modulus_constant(self, gamma, beta, c):
-        prof = build_fifth_order_cnoidal(gamma, beta, c)
+        prof = build_profile(FIFTH_CNOIDAL, gamma, 0.0, beta, c, 0.0)
         assert prof.cnoidal.modulus == pytest.approx(math.sqrt(2.0) / 2.0, rel=1e-15)
 
     def test_wavelength(self):
-        prof = build_fifth_order_cnoidal(1.0, 1.0, 1.0)
+        prof = build_profile(FIFTH_CNOIDAL, 1.0, 0.0, 1.0, 1.0, 0.0)
         expected = 2.0 * math.sqrt(2.0) * 42.0 ** 0.25 * EllipticContext.from_modulus(math.sqrt(2.0) / 2.0).K
         assert prof.cnoidal.wavelength == pytest.approx(expected, rel=1e-14)
         assert prof.cnoidal.wavelength == pytest.approx(13.3500, abs=2e-3)
 
     def test_flux_constant(self):
-        prof = build_fifth_order_cnoidal(1.0, 1.0, 1.0)
+        prof = build_profile(FIFTH_CNOIDAL, 1.0, 0.0, 1.0, 1.0, 0.0)
         assert prof.params.flux_a == pytest.approx(-5.0 / 56.0, rel=1e-15)
 
-    @pytest.mark.parametrize("beta,c", [(1.0, -1.0), (-1.0, 1.0), (0.0, 1.0)])
+    @pytest.mark.parametrize("beta,c", [(1.0, -1.0), (-1.0, 1.0), (0.0, 1.0), (1.0, 0.0)])
     def test_domain(self, beta, c):
-        with pytest.raises(ValueError):
-            build_fifth_order_cnoidal(1.0, beta, c)
+        with pytest.raises(ValueError, match="needs c/beta > 0"):
+            build_profile(FIFTH_CNOIDAL, 1.0, 0.0, beta, c, 0.0)
 
 
 class TestProfileGeometry:
@@ -241,7 +243,7 @@ class TestProfileGeometry:
         assert np.max(np.abs(prof.evaluate(prof.xi + lam) - prof.u)) < 1e-11
 
     def test_solitary_window_tail(self):
-        prof = build_fifth_order_soliton(1.0, 1.0, 1.0)
+        prof = build_profile(FIFTH_SOLITON, 1.0, 1.0, 1.0, 0.0, 0.0)
         assert abs(prof.u[0]) < 1e-14 * prof.amplitude
 
     def test_unknown_family(self):
@@ -257,6 +259,9 @@ class TestOutOfRange:
         ("fifth-soliton", 1.0, 1e-10, 1e300, 1.0, 0.0, "member's width inf"),
         # the amplitude overflowed and the modulus was blamed as degenerate
         ("kdv-cnoidal", 1e-320, 1.0, 0.0, 1.0, 1e-320, "member's amplitude inf"),
+        # c/alpha and c/beta underflowed to 0 and the sign rule was blamed
+        ("kdv-soliton", 1.0, 1e300, 0.0, 1e-300, 0.0, "member's width inf"),
+        ("fifth-cnoidal", 1.0, 0.0, 1e300, 1e-300, 0.0, "member's width inf"),
     ])
     def test_member_is_rejected_by_family(self, family, gamma, alpha, beta, c, flux, what):
         with pytest.raises(ValueError) as exc:
@@ -264,6 +269,33 @@ class TestOutOfRange:
         assert not isinstance(exc.value, DegenerateModulusError)
         assert str(exc.value).startswith(f"the {family} ")
         assert what in str(exc.value) and "out of floating-point range" in str(exc.value)
+
+
+def signed_log_uniform(lo, hi):
+    """|x| log-uniform in [lo, hi], either sign."""
+    return st.builds(lambda sign, e: sign * 10.0 ** e, st.sampled_from([-1.0, 1.0]),
+                     st.floats(math.log10(lo), math.log10(hi)))
+
+
+class TestEveryMember:
+    @given(family=st.sampled_from(sorted(FAMILIES)),
+           gamma=signed_log_uniform(1e-2, 1e2), alpha=signed_log_uniform(1e-2, 1e2),
+           beta=signed_log_uniform(1e-2, 1e2), c=signed_log_uniform(1e-2, 1e2),
+           flux=signed_log_uniform(1e-3, 1e2))
+    @settings(max_examples=400, deadline=None)
+    def test_rejected_or_conserving(self, family, gamma, alpha, beta, c, flux):
+        # a member is either refused with a ValueError or passes verify's
+        # four conservation rows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                prof = build_profile(family, gamma, alpha, beta, c, flux)
+            except ValueError:
+                return
+            rows = conservation_rows(conservation_residuals(prof), prof.params)
+        assert len(rows) == 4
+        for name, value, tol in rows:
+            assert value <= tol, (name, value, tol)
 
 
 class TestSampler:
@@ -312,16 +344,16 @@ class TestSampler:
 class TestSolitaryLimit:
     """As the flux goes to 0+ at c > 0 the cn^2 wave tends to the sech^2 soliton.
 
-    The two builders share no code.  To leading order in the flux f,
+    The two member functions share no code.  To leading order in the flux f,
     1 - k = |g| f / 3c^2 and the crest gap is 2/3 of |g| f / c^2.
     """
 
     @pytest.mark.parametrize("gamma,alpha,c", [(1.0, 1.0, 1.0), (2.0, 0.5, 3.0),
                                                (-1.0, 1.0, 1.0)])
     def test_cn2_tends_to_kdv_soliton(self, gamma, alpha, c):
-        soliton = build_kdv_soliton(gamma, alpha, c)
+        soliton = build_profile(KDV_SOLITON, gamma, alpha, 0.0, c, 0.0)
         for flux in (1e-2, 1e-4, 1e-6, 1e-8):
-            cn2 = build_kdv_cnoidal(gamma, alpha, c, math.copysign(flux, gamma))
+            cn2 = build_profile(KDV_CNOIDAL, gamma, alpha, 0.0, c, math.copysign(flux, gamma))
             bound = abs(gamma) * flux / c ** 2
             assert 0.0 < 1.0 - cn2.cnoidal.modulus <= 1.01 * bound / 3.0
             assert 0.0 < cn2.amplitude / soliton.amplitude - 1.0 <= bound
@@ -329,23 +361,23 @@ class TestSolitaryLimit:
             assert gap <= bound * abs(soliton.amplitude)
         # ... up to the modulus cap 1 - 1e-10
         with pytest.raises(DegenerateModulusError):
-            build_kdv_cnoidal(gamma, alpha, c, math.copysign(1e-10 * c * c, gamma))
+            build_profile(KDV_CNOIDAL, gamma, alpha, 0.0, c, math.copysign(1e-10 * c * c, gamma))
 
 
 class TestConservation:
     def test_fifth_soliton_first_law(self):
-        prof = build_fifth_order_soliton(1.0, 1.0, 1.0, n_samples=2048)
+        prof = build_profile(FIFTH_SOLITON, 1.0, 1.0, 1.0, 0.0, 0.0, n_samples=2048)
         check = conservation_residuals(prof)
         assert np.max(np.abs(check.residual1)) < 1e-7
         assert abs(check.mean1) < 1e-7
 
     def test_kdv_cnoidal_flux_recovered(self):
-        prof = build_kdv_cnoidal(1.0, 1.0, 1.0, 1.0)
+        prof = build_profile(KDV_CNOIDAL, 1.0, 1.0, 0.0, 1.0, 1.0)
         check = conservation_residuals(prof)
         assert check.mean1 == pytest.approx(1.0, abs=1e-6)
 
     def test_fifth_cnoidal_flux_recovered(self):
-        prof = build_fifth_order_cnoidal(1.0, 1.0, 1.0)
+        prof = build_profile(FIFTH_CNOIDAL, 1.0, 0.0, 1.0, 1.0, 0.0)
         check = conservation_residuals(prof)
         assert check.mean1 == pytest.approx(-5.0 / 56.0, abs=1e-8)
 
@@ -407,7 +439,7 @@ class TestConservation:
         assert np.all(law1 == 0.0) and np.all(law2 == 0.0)
 
     def test_tampered_speed_breaks_first_law(self):
-        prof = build_fifth_order_soliton(1.0, 1.0, 1.0)
+        prof = build_profile(FIFTH_SOLITON, 1.0, 1.0, 1.0, 0.0, 0.0)
         bad = MediumParams(gamma=1.0, alpha=1.0, beta=1.0, c=prof.params.c * 1.1)
         tampered = dataclasses.replace(prof, params=bad)
         check = conservation_residuals(tampered)
@@ -437,7 +469,7 @@ class TestSerialization:
         assert write_csv(None, ("v",), [(math.nan,), (-math.inf,)]) == "v\nnan\n-inf\n"
 
     def test_csv_header_and_roundtrip(self, tmp_path):
-        prof = build_kdv_soliton(1.0, 1.0, 1.0, n_samples=257)
+        prof = build_profile(KDV_SOLITON, 1.0, 1.0, 0.0, 1.0, 0.0, n_samples=257)
         path = tmp_path / "prof.csv"
         text = profile_to_csv(prof, path)
         lines = text.splitlines()
