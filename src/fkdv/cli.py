@@ -314,7 +314,7 @@ def main(argv=None) -> int:
     try:
         _check_args(args)
         return _COMMANDS[args.command](args)
-    except (ValueError, waves.DegenerateModulusError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_ERROR
 

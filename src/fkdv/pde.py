@@ -452,6 +452,8 @@ class Perturbation:
             raise ValueError(f"unknown perturbation kind {self.kind!r}")
         if self.kind == "noise" and self.seed is None:
             raise ValueError("noise perturbations must carry a seed")
+        if not math.isfinite(self.eps):
+            raise ValueError(f"perturbation eps must be finite, got {self.eps!r}")
 
 
 def apply_perturbation(u: np.ndarray, pert: Perturbation, domain_length: float,

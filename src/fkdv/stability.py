@@ -28,13 +28,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .elliptic import CSCH_OVERFLOW
+from .elliptic import CSCH_OVERFLOW, EllipticContext
 from .waves import (CN4_K, FIFTH_CNOIDAL, FIFTH_SOLITON, KDV_CNOIDAL, KDV_SOLITON,
-                    cn2_params, family_member, write_csv)
+                    family_member, write_csv)
 
 __all__ = [
     "GegenbauerSeriesSpec",
@@ -186,12 +185,10 @@ def gegenbauer_verdict(spec: GegenbauerSeriesSpec, jmax: int = 200) -> Stability
 # cn^2 family: derivative of the sequence norm in c
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=256, typed=True)
 def _csch_sums(K: float, Kprime: float):
     """S2 = sum_{n != 0} n^2 csch^2(n pi K'/K) and S3 with the extra n coth.
 
-    With tau = pi K'/K, dS2/dtau = -2 S3.  Cached: both modes of a member
-    read the same sums.
+    With tau = pi K'/K, dS2/dtau = -2 S3.
     """
     ratio = math.pi * Kprime / K
     s2 = s3 = 0.0
@@ -269,13 +266,14 @@ def solve_flux_for_wavelength(gamma: float, alpha: float, c: float,
 
     The inverse of the wavelength map, for callers that want the member on
     a fixed-period curve itself; the fixed-period derivative needs no such
-    solve.  The flux carries the sign of gamma (see :func:`cn2_params`), so
-    the search runs over its magnitude, starting from ``abs(flux_guess)``.
+    solve.  The flux carries the sign of gamma (see :func:`waves._kdv_cnoidal`),
+    so the search runs over its magnitude, starting from ``abs(flux_guess)``.
     """
     sign = math.copysign(1.0, gamma)
 
     def objective(a):
-        return cn2_params(gamma, alpha, c, sign * a)[0].wavelength - wavelength
+        cn = family_member(KDV_CNOIDAL, gamma, alpha, 0.0, c, sign * a)[1]
+        return cn.wavelength - wavelength
 
     a = max(abs(flux_guess), 1e-12)
     fa = objective(a)
@@ -301,7 +299,7 @@ def cn2_norm_derivative(gamma: float, alpha: float, c: float, flux_a: float,
     With m = k^2, M = 6 alpha m / gamma, G = 4 K^2 (K - D)^2 and
     H = pi^4 S2 / k^4 the norm is N = (M^2 / L^4)(G + H); every derivative
     below is its exact chain rule through K, D, K' and the csch sums, all
-    taken from the member's own context.
+    taken from the context of a member the builder accepts.
 
     mode "fixed-flux": differentiate with flux_a constant, the L inside the
     norm following the wavelength, dN/dc = dN/dc|_L - 4 N d(ln L)/dc.
@@ -316,7 +314,8 @@ def cn2_norm_derivative(gamma: float, alpha: float, c: float, flux_a: float,
     """
     if mode not in ("fixed-flux", "fixed-period"):
         raise ValueError(f"unknown mode {mode!r}")
-    cn, ctx = cn2_params(gamma, alpha, c, flux_a)
+    cn = family_member(KDV_CNOIDAL, gamma, alpha, 0.0, c, flux_a)[1]
+    ctx = EllipticContext.from_modulus(cn.modulus)
     k, emm, L0, delta = cn.modulus, cn.emm, cn.half_period, cn.delta
     K, D, dD, Kp = ctx.K, ctx.D, ctx.dD, ctx.Kprime
     k2 = k * k

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -56,7 +55,6 @@ __all__ = [
     "DegenerateModulusError",
     "build_profile",
     "family_member",
-    "cn2_params",
     "conservation_residuals",
     "profile_to_csv",
     "write_csv",
@@ -188,9 +186,16 @@ def _kdv_soliton(gamma, alpha, beta, c, flux_a):
     return params, None, amp, width, lambda xi: amp / np.cosh(s * xi) ** 2
 
 
-def _cn2_shape(gamma: float, alpha: float, c: float,
-               flux_a: float) -> tuple[float, float, float, float]:
-    """Discriminant, its square root, amplitude and modulus; see :func:`cn2_params`."""
+def _kdv_cnoidal(gamma, alpha, beta, c, flux_a):
+    """cn^2 member of the KdV limit (beta = 0): discriminant, amplitude, modulus,
+    wavelength and M(c).
+
+    It needs alpha > 0: negative alpha would force the |alpha| variants of the
+    stability terms, not admitted here.  A real cn^2 wave needs flux_a*gamma > 0:
+    for flux_a*gamma < 0 the modulus exceeds 1 (or the amplitude has the wrong
+    sign), and the flux_a -> 0 limit drives the modulus to 1, which is rejected
+    as degenerate.
+    """
     _check_gamma(gamma)
     if alpha <= 0.0:
         raise ValueError("cnoidal construction restricted to alpha > 0")
@@ -214,43 +219,14 @@ def _cn2_shape(gamma: float, alpha: float, c: float,
         raise DegenerateModulusError(
             f"modulus {modulus!r} exceeds {_MODULUS_CAP}; the wave degenerates to a soliton"
         )
-    return delta, sqrt_delta, amp, modulus
-
-
-@lru_cache(maxsize=256, typed=True)
-def cn2_params(gamma: float, alpha: float, c: float,
-               flux_a: float) -> tuple[CnoidalParams, EllipticContext]:
-    """Discriminant, amplitude, modulus, wavelength and M(c) of a cn^2 wave.
-
-    A real cn^2 wave needs flux_a*gamma > 0: for flux_a*gamma < 0 the
-    modulus exceeds 1 (or the amplitude has the wrong sign), and the
-    flux_a -> 0 limit drives the modulus to 1, which is rejected as
-    degenerate.  Also returns the elliptic context of the modulus.  Cached
-    (profile building and both stability modes read the same member); both
-    values are immutable.
-    """
-    delta, sqrt_delta, amp, modulus = _cn2_shape(gamma, alpha, c, flux_a)
-    ctx = EllipticContext.from_modulus(modulus)
-    wavelength = 4.0 * math.sqrt(3.0 * alpha) * ctx.K / delta ** 0.25
-    cn_params = CnoidalParams(
-        delta=delta,
-        amplitude=amp,
-        modulus=modulus,
-        emm=6.0 * alpha * amp / sqrt_delta,
-        wavelength=wavelength,
-        half_period=wavelength / 2.0,
-    )
-    return cn_params, ctx
-
-
-def _kdv_cnoidal(gamma, alpha, beta, c, flux_a):
-    """cn^2 member of the KdV limit (beta = 0); see :func:`cn2_params`.  It needs alpha > 0:
-    negative alpha would force the |alpha| variants of the stability terms, not admitted here."""
-    cn, _ = cn2_params(gamma, alpha, c, flux_a)
-    amp, modulus = cn.amplitude, cn.modulus
-    b = cn.delta ** 0.25 / (2.0 * math.sqrt(3.0 * alpha))
+    wavelength = (4.0 * math.sqrt(3.0 * alpha) * EllipticContext.from_modulus(modulus).K
+                  / delta ** 0.25)
+    cn = CnoidalParams(delta=delta, amplitude=amp, modulus=modulus,
+                       emm=6.0 * alpha * amp / sqrt_delta,
+                       wavelength=wavelength, half_period=wavelength / 2.0)
+    b = delta ** 0.25 / (2.0 * math.sqrt(3.0 * alpha))
     params = MediumParams(gamma=gamma, alpha=alpha, beta=0.0, c=c, flux_a=flux_a)
-    return params, cn, amp, cn.wavelength, lambda xi: amp * jacobi_cn(b * xi, modulus) ** 2
+    return params, cn, amp, wavelength, lambda xi: amp * jacobi_cn(b * xi, modulus) ** 2
 
 
 def _fifth_cnoidal(gamma, alpha, beta, c, flux_a):

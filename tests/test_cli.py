@@ -16,7 +16,7 @@ def run(argv):
     return main(argv)
 
 
-def unreachable(args):
+def unreachable(*args, **kwargs):
     raise AssertionError("validation should have stopped the command")
 
 
@@ -376,6 +376,14 @@ class TestValidation:
         monkeypatch.setitem(cli._COMMANDS, command, unreachable)
         assert run([command, "--family", "kdv-soliton", f"{flag}={value}"]) == 2
         assert f"error: {flag} must be finite, got " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", ["scale:nan", "cosine:inf", "noise:-inf"])
+    def test_non_finite_perturbation_eps_rejected(self, spec, monkeypatch, capsys):
+        monkeypatch.setattr(pde, "stability_experiment", unreachable)
+        assert run(["simulate", "--family", "kdv-soliton", "--perturb", spec]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad perturbation spec {spec!r}: ")
+        assert "perturbation eps must be finite" in err
 
     def test_record_every_zero_is_a_usage_error(self, tmp_path, capsys):
         assert run(["simulate", "--family", "kdv-soliton", "--gridN", "256",

@@ -399,6 +399,11 @@ class TestPerturbations:
         with pytest.raises(ValueError):
             Perturbation("bump", 0.1)
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+    def test_non_finite_eps_rejected(self, eps):
+        with pytest.raises(ValueError, match=f"perturbation eps must be finite, got {eps!r}"):
+            Perturbation("scale", eps)
+
 
 class TestExperiments:
     def test_unperturbed_soliton_stays_on_orbit(self):

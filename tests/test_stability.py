@@ -25,9 +25,16 @@ from fkdv.stability import (
 )
 from fkdv import stability
 from fkdv.elliptic import EllipticContext
-from fkdv.waves import FAMILIES, FIFTH_CNOIDAL, KDV_CNOIDAL, KDV_SOLITON, build_profile, cn2_params
+from fkdv.waves import (FAMILIES, FIFTH_CNOIDAL, KDV_CNOIDAL, KDV_SOLITON, build_profile,
+                        family_member)
 
 B0 = Fraction(-891, 14515200)
+
+
+def cn2_member(gamma, alpha, c, flux_a):
+    """The cn^2 member's CnoidalParams and the elliptic context of its modulus."""
+    cn = family_member(KDV_CNOIDAL, gamma, alpha, 0.0, c, flux_a)[1]
+    return cn, EllipticContext.from_modulus(cn.modulus)
 
 
 def kdv_soliton_norm_sq(gamma, alpha, c):
@@ -68,7 +75,7 @@ def cn2_ell2_norm_sq(gamma: float, alpha: float, c: float, flux_a: float,
     frozen-L reading); by default L tracks the wavelength of the
     (c, flux_a) member.
     """
-    cn, ctx = cn2_params(gamma, alpha, c, flux_a)
+    cn, ctx = cn2_member(gamma, alpha, c, flux_a)
     L = cn.half_period if half_period is None else half_period
     k, emm = cn.modulus, cn.emm
     s2, _ = stability._csch_sums(ctx.K, ctx.Kprime)
@@ -111,7 +118,7 @@ def richardson_report(gamma, alpha, c, flux_a, mode):
     Fixed-period re-solves the flux at every Richardson speed; the terms are
     the product-rule pieces with each factor's derivative taken numerically.
     """
-    cn, ctx = cn2_params(gamma, alpha, c, flux_a)
+    cn, ctx = cn2_member(gamma, alpha, c, flux_a)
     L0 = cn.half_period
     if mode == "fixed-flux":
         deriv = _richardson_checked(lambda cc: cn2_ell2_norm_sq(gamma, alpha, cc, flux_a), c)
@@ -126,7 +133,7 @@ def richardson_report(gamma, alpha, c, flux_a, mode):
         lambda cc: cn2_ell2_norm_sq(gamma, alpha, cc, flux_a, half_period=L0), c)
 
     def along_c(quantity):
-        return _richardson_checked(lambda cc: quantity(*cn2_params(gamma, alpha, cc, flux_a)), c)
+        return _richardson_checked(lambda cc: quantity(*cn2_member(gamma, alpha, cc, flux_a)), c)
 
     d_mk = along_c(lambda cn_c, ctx_c: cn_c.emm * ctx_c.K)
     d_kmd = along_c(lambda cn_c, ctx_c: ctx_c.K - ctx_c.D)
@@ -426,9 +433,19 @@ class TestCn2Derivative:
             cn2_norm_derivative(1.0, 1.0, 1.0, -0.1, mode=mode)
 
     @pytest.mark.parametrize("mode", ["fixed-flux", "fixed-period"])
+    def test_out_of_range_member_rejected(self, mode):
+        # sqrt(3 alpha) overflows, so the wavelength is inf; no NaN index is judged
+        with pytest.raises(ValueError, match="width"):
+            cn2_norm_derivative(1.0, 1e308, 1.0, 1.0, mode=mode)
+
+    def test_fixed_period_flux_of_out_of_range_member_rejected(self):
+        with pytest.raises(ValueError, match="width"):
+            solve_flux_for_wavelength(1.0, 1e308, 1.0, 5.0)
+
+    @pytest.mark.parametrize("mode", ["fixed-flux", "fixed-period"])
     def test_negative_gamma_wave_is_stable(self, mode):
-        # gamma -> -gamma with flux -> -flux leaves cn2_params unchanged but
-        # the sign of the amplitude, so both modes see the mirrored wave
+        # gamma -> -gamma with flux -> -flux leaves the cn^2 member's parameters
+        # unchanged but the sign of the amplitude, so both modes see the mirrored wave
         rep = cn2_norm_derivative(-1.0, 1.0, 1.0, -1.0, mode=mode)
         assert rep.verdict == "stable"
         mirror = cn2_norm_derivative(1.0, 1.0, 1.0, 1.0, mode=mode)
@@ -488,7 +505,7 @@ class TestCn2ClosedForm:
             # about eps K/k^2 of rounding; its fine step 1e-4|c| lifts that to
             # 3 eps K/(1e-4 |c| k^2), which passes 1e-8 of d(K - D)/dc at small k
             # or |c| (mpmath puts the closed form within 1e-10 there)
-            cn, ctx = cn2_params(gamma, 1.0, c, flux)
+            cn, ctx = cn2_member(gamma, 1.0, c, flux)
             floor = 3.0 * 2.2e-16 * ctx.K / (1e-4 * abs(c) * cn.modulus ** 2)
             kmd_rel = 1e-8 + floor / abs(rep.terms["d_K_minus_D"])
             for name, expected in terms.items():
@@ -509,10 +526,12 @@ def report_bits(rep):
     return {name: bits(v) for name, v in fields.items()}
 
 
-def clear_cn2_caches():
-    cn2_params.cache_clear()
-    stability._csch_sums.cache_clear()
+def clear_context_cache():
     EllipticContext.from_modulus.cache_clear()
+
+
+def contexts_built():
+    return EllipticContext.from_modulus.cache_info().misses
 
 
 class TestCn2Cache:
@@ -524,10 +543,10 @@ class TestCn2Cache:
     def test_reports_equal_cold_and_warm_in_either_order(self, point):
         cold = {}
         for mode in self.MODES:
-            clear_cn2_caches()
+            clear_context_cache()
             cold[mode] = report_bits(cn2_norm_derivative(*point, mode=mode))
         for order in (self.MODES, self.MODES[::-1]):
-            clear_cn2_caches()
+            clear_context_cache()
             for mode in order:
                 assert report_bits(cn2_norm_derivative(*point, mode=mode)) == cold[mode]
             for mode in order:  # warm: every member already cached
@@ -536,41 +555,25 @@ class TestCn2Cache:
     @pytest.mark.parametrize("point", POINTS)
     def test_terms_equal_cold_and_warm(self, point):
         # the terms are mode-free: one member gives the same bits in both modes
-        clear_cn2_caches()
+        clear_context_cache()
         cold = report_bits(cn2_norm_derivative(*point, mode="fixed-flux"))["terms"]
         for mode in self.MODES:
             assert report_bits(cn2_norm_derivative(*point, mode=mode))["terms"] == cold
-            clear_cn2_caches()
+            clear_context_cache()
             assert report_bits(cn2_norm_derivative(*point, mode=mode))["terms"] == cold
 
-    @staticmethod
-    def count_contexts(monkeypatch):
-        built = []
-        from_modulus = EllipticContext.from_modulus
-        monkeypatch.setattr(EllipticContext, "from_modulus",
-                            classmethod(lambda cls, k: built.append(k) or from_modulus(k)))
-        return built
-
-    def test_cold_fixed_flux_builds_each_member_once(self, monkeypatch):
-        clear_cn2_caches()
-        built = self.count_contexts(monkeypatch)
+    def test_cold_fixed_flux_builds_each_member_once(self):
+        clear_context_cache()
         cn2_norm_derivative(1.0, 1.0, 1.0, 1.0, mode="fixed-flux")
         # the member's own context gives every derivative
-        assert len(built) <= 1
+        assert contexts_built() == 1
 
-    def test_fixed_period_after_fixed_flux_builds_no_context(self, monkeypatch):
-        clear_cn2_caches()
+    def test_fixed_period_after_fixed_flux_builds_no_context(self):
+        clear_context_cache()
         cn2_norm_derivative(1.0, 1.0, 1.0, 1.0, mode="fixed-flux")
-        built = self.count_contexts(monkeypatch)
+        built = contexts_built()
         cn2_norm_derivative(1.0, 1.0, 1.0, 1.0, mode="fixed-period")
-        assert built == []
-
-    def test_rejected_members_are_not_cached(self):
-        cn2_params.cache_clear()
-        for _ in range(2):
-            with pytest.raises(ValueError, match="mass flux of the sign of gamma"):
-                cn2_params(1.0, 1.0, 1.0, -0.1)
-        assert cn2_params.cache_info().currsize == 0
+        assert contexts_built() == built
 
 
 class TestParsevalBridge:

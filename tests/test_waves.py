@@ -1,7 +1,6 @@
 import dataclasses
 import itertools
 import math
-import re
 import warnings
 
 import mpmath as mp
@@ -14,6 +13,8 @@ import fkdv.elliptic as elliptic
 import fkdv.waves as waves
 from fkdv.cli import conservation_rows
 from fkdv.elliptic import EllipticContext, jacobi_cn
+from fkdv.fourier import analytic_coeffs, pf2_check
+from fkdv.stability import family_reports
 from fkdv.waves import (
     FAMILIES,
     FIFTH_CNOIDAL,
@@ -23,18 +24,18 @@ from fkdv.waves import (
     DegenerateModulusError,
     MediumParams,
     build_profile,
-    cn2_params,
     conservation_residuals,
+    family_member,
     profile_to_csv,
     write_csv,
 )
-from fkdv.waves import _CHOP, _cn2_shape, _spectral_derivatives
+from fkdv.waves import _CHOP, _spectral_derivatives
 
 
-def cn2_wavelength(gamma, alpha, c, flux_a):
-    """Wavelength of the cn^2 wave from K alone, without an elliptic context."""
-    delta, _, _, modulus = _cn2_shape(gamma, alpha, c, flux_a)
-    return 4.0 * math.sqrt(3.0 * alpha) * elliptic._complete_KED(modulus)[0] / delta ** 0.25
+def cn2_wavelength(alpha, cn):
+    """Wavelength of a cn^2 member from K alone, without an elliptic context."""
+    K = elliptic._complete_KED(cn.modulus)[0]
+    return 4.0 * math.sqrt(3.0 * alpha) * K / cn.delta ** 0.25
 
 
 def all_four_profiles():
@@ -168,12 +169,10 @@ class TestKdvCnoidal:
             alpha, c = rng.uniform(0.1, 3.0), rng.uniform(-3.0, 3.0)
             flux = np.sign(gamma) * 10.0 ** rng.uniform(-4.0, 2.0)
             try:
-                expected = cn2_params(gamma, alpha, c, flux)[0].wavelength
-            except ValueError as exc:
-                with pytest.raises(type(exc), match=re.escape(str(exc))):
-                    cn2_wavelength(gamma, alpha, c, flux)
+                cn = family_member(KDV_CNOIDAL, gamma, alpha, 0.0, c, flux)[1]
+            except ValueError:
                 continue
-            assert cn2_wavelength(gamma, alpha, c, flux) == expected
+            assert cn2_wavelength(alpha, cn) == cn.wavelength
 
     @pytest.mark.parametrize("gamma", [1.0, -1.0])
     @pytest.mark.parametrize("c,flux", [(-20.0, 0.05), (-100.0, 0.01), (-1000.0, 0.001)])
@@ -183,7 +182,7 @@ class TestKdvCnoidal:
         with mp.workdps(50):
             exact = (3 * mp.mpf(c) + mp.sqrt(9 * mp.mpf(c) ** 2 + 24 * mp.mpf(flux) * gamma)) \
                 / (2 * mp.mpf(gamma))
-            amp = _cn2_shape(gamma, 1.0, c, flux)[2]
+            amp = family_member(KDV_CNOIDAL, gamma, 1.0, 0.0, c, flux)[2]
             assert abs((amp - exact) / exact) <= 1e-15
 
     def test_amplitude_bits_kept_at_nonnegative_speed(self):
@@ -192,15 +191,10 @@ class TestKdvCnoidal:
                                                 [1e-4, 0.05, 1.0, 20.0]):
             flux = math.copysign(flux, gamma)
             try:
-                amp = _cn2_shape(gamma, 1.0, c, flux)[2]
+                amp = family_member(KDV_CNOIDAL, gamma, 1.0, 0.0, c, flux)[2]
             except DegenerateModulusError:
                 continue
             assert amp == (3.0 * c + math.sqrt(9.0 * c * c + 24.0 * flux * gamma)) / (2.0 * gamma)
-
-    def test_params_helper_matches_builder(self):
-        cn, ctx = cn2_params(1.0, 1.0, 1.3, 0.7)
-        assert cn == build_profile(KDV_CNOIDAL, 1.0, 1.0, 0.0, 1.3, 0.7).cnoidal
-        assert ctx.k == cn.modulus
 
 
 class TestFifthOrderCnoidal:
@@ -277,11 +271,14 @@ def signed_log_uniform(lo, hi):
                      st.floats(math.log10(lo), math.log10(hi)))
 
 
+MEMBER_DRAWS = dict(family=st.sampled_from(sorted(FAMILIES)),
+                    gamma=signed_log_uniform(1e-2, 1e2), alpha=signed_log_uniform(1e-2, 1e2),
+                    beta=signed_log_uniform(1e-2, 1e2), c=signed_log_uniform(1e-2, 1e2),
+                    flux=signed_log_uniform(1e-3, 1e2))
+
+
 class TestEveryMember:
-    @given(family=st.sampled_from(sorted(FAMILIES)),
-           gamma=signed_log_uniform(1e-2, 1e2), alpha=signed_log_uniform(1e-2, 1e2),
-           beta=signed_log_uniform(1e-2, 1e2), c=signed_log_uniform(1e-2, 1e2),
-           flux=signed_log_uniform(1e-3, 1e2))
+    @given(**MEMBER_DRAWS)
     @settings(max_examples=400, deadline=None)
     def test_rejected_or_conserving(self, family, gamma, alpha, beta, c, flux):
         # a member is either refused with a ValueError or passes verify's
@@ -296,6 +293,26 @@ class TestEveryMember:
         assert len(rows) == 4
         for name, value, tol in rows:
             assert value <= tol, (name, value, tol)
+
+    @given(**MEMBER_DRAWS)
+    @settings(max_examples=400, deadline=None)
+    def test_accepted_member_is_stable(self, family, gamma, alpha, beta, c, flux):
+        # the paper's claim: every member is stable, and a cnoidal member's
+        # coefficients are PF(2), checked as verify does on the mirror of u < 0
+        try:
+            cnoidal = family_member(family, gamma, alpha, beta, c, flux)[1]
+        except ValueError:
+            return
+        reports = family_reports(family, gamma, alpha, beta, [c], flux, "both", 200)
+        assert [rep.verdict for rep in reports] == ["stable"] * len(reports)
+        if cnoidal is None:
+            return
+        prof = build_profile(family, gamma, alpha, beta, c, flux)
+        sign = math.copysign(1.0, prof.amplitude)
+        for window in (1, 12, 24, 64):
+            seq = sign * analytic_coeffs(prof, 2 * window).two_sided()
+            report = pf2_check(seq, window=window)
+            assert report.passed, (window, report)
 
 
 class TestSampler:
