@@ -266,6 +266,12 @@ def pf2_check(seq, window: int = 12) -> Pf2Report:
     largest entry in [0.5, 1), so that tiny sequences are judged like others.
     Entries that are not finite, or whose largest square overflows (and with
     it the tolerance, so every minor would pass), are rejected.
+
+    Why both cnoidal families pass at every window: for n >= 1, u_hat(n) is
+    proportional to n csch(n rho) (cn^2) or n^3 csch(n pi) (cn^4), and as sinh
+    x > x, d^2/dn^2 log of these is -1/n^2 + rho^2 csch^2(n rho) < 0 or -3/n^2
+    + pi^2 csch^2(n pi) < 0; a positive log-concave sequence is PF(2).  This
+    covers every cell with |n| >= 2; those that read u_hat(0) stay checked.
     """
     values, reach = _twosided_values(seq)
     # NaN and +-inf reach the least or the largest entry; the initial 0.0

@@ -39,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .waves import MediumParams, WaveProfile, write_csv
+from .waves import MediumParams, WaveProfile, _wavenumbers, write_csv
 
 __all__ = [
     "SpectralState",
@@ -113,8 +113,7 @@ class SpectralState:
 
     @property
     def x(self) -> np.ndarray:
-        return -0.5 * self.domain_length + np.arange(self.grid_n) * (
-            self.domain_length / self.grid_n)
+        return _grid(self.grid_n, self.domain_length)
 
 
 @dataclass(frozen=True)
@@ -127,8 +126,9 @@ class DiagnosticsRecord:
     shift: float
 
 
-def _wavenumbers(n: int, domain_length: float) -> np.ndarray:
-    return 2.0 * np.pi * np.fft.rfftfreq(n, d=domain_length / n)
+def _grid(n: int, domain_length: float) -> np.ndarray:
+    """The n points -L/2 + j L/n of the periodic box of length L."""
+    return -0.5 * domain_length + np.arange(n) * (domain_length / n)
 
 
 def _phi123(z: np.ndarray):
@@ -424,8 +424,7 @@ def state_from_profile(profile: WaveProfile, grid_n: int = 1024):
     periodic box then approximates the whole line).
     """
     domain = 2.0 * profile.window
-    x = -0.5 * domain + np.arange(grid_n) * (domain / grid_n)
-    reference = profile.evaluate(x)
+    reference = profile.evaluate(_grid(grid_n, domain))
     state = SpectralState(grid_n=grid_n, domain_length=domain,
                           field=reference.copy(), time=0.0, params=profile.params)
     return state, reference
@@ -463,7 +462,7 @@ def apply_perturbation(u: np.ndarray, pert: Perturbation, domain_length: float,
     if pert.kind == "scale":
         return (1.0 + pert.eps) * u
     if pert.kind == "cosine":
-        x = -0.5 * domain_length + np.arange(n) * (domain_length / n)
+        x = _grid(n, domain_length)
         return u + pert.eps * np.cos(2.0 * math.pi * pert.mode * x / domain_length)
     rng = np.random.default_rng(pert.seed)
     spec = np.zeros(n // 2 + 1, dtype=complex)

@@ -7,8 +7,8 @@ norm along the family:
   / g^2, so d/dc ||phi||^2 = 36 sqrt(a c) / g^2 > 0 outright.
 * Fifth-order soliton: the speed is pinned by the medium, so there is no
   family to differentiate; the sign of I comes from a Gegenbauer-type
-  series whose terms b_j are rational in j (b_0 = -891/14515200, b_j > 0
-  for j >= 1), and stability follows from sum_{j>=1} b_j < |b_0|.
+  series with rational terms b_j (b_0 = -891/14515200, b_j > 0 for j >= 1):
+  b_1..b_10 and the proven bound b_j <= (105/512) j^-9 certify sum b_j < |b_0|.
 * cn^2 / cn^4 cnoidal waves: I = -(L/2) d/dc of the two-sided coefficient
   sequence norm.  Both norms are closed form, and so are their derivatives:
   the cn^4 norm is proportional to c^2, and the cn^2 norm is differentiated
@@ -58,11 +58,10 @@ _SERIES_REL_FLOOR = 1e-18  # stop once the next term is this small relatively
 class StabilityReport:
     """Evaluated stability functional for one family member.
 
-    ``verdict`` is "stable" only when the sign test is certified
-    (I < 0, equivalently norm_derivative > 0); "inconclusive" when a tail
-    bound is too loose to decide; "not-stable-hypotheses" otherwise.
-    ``terms`` carries the named sign contributions where a decomposition
-    exists.
+    ``verdict`` is "stable" when the sign test holds (I < 0, equivalently
+    norm_derivative > 0), else "not-stable-hypotheses".  ``terms`` carries the
+    named sign contributions where a decomposition exists; the sech^4 report
+    adds its partial sum, the proven bound on the tail past it, and the terms.
     """
 
     family: str
@@ -149,34 +148,31 @@ def gegenbauer_terms(jmax: int) -> np.ndarray:
     return 1680.0 * (2 * j + 5.5) * (j + 1) ** 2 * (j + 4.5) ** 2 / (bracket * rising)
 
 
-def gegenbauer_verdict(spec: GegenbauerSeriesSpec, jmax: int = 200) -> StabilityReport:
-    """Decide the sign of I from the partial sum plus a decay tail bound.
+def _tail_bound(jmax: int) -> float:
+    """Bound on sum_{j>jmax} b_j from b_j <= (105/512) j^-9, j >= 1, which the tests
+    prove in exact rationals, as they do b_1 + .. + b_10 + _tail_bound(10) < |b_0|."""
+    return 105.0 / 512.0 / (8.0 * float(jmax) ** 8)
 
-    The terms fall off like j^{-9}, so the tail beyond jmax is bounded
-    by the integral comparison b_jmax * jmax / 8, padded by a factor 2
-    because the prefactor of the power law is still drifting at moderate j.
-    The verdict is "inconclusive" unless that bound is below 1% of the
-    partial sum.
+
+def gegenbauer_verdict(spec: GegenbauerSeriesSpec, jmax: int = 200) -> StabilityReport:
+    """I from the terms b_0..b_jmax, and its sign from the certificate.
+
+    The verdict does not read ``jmax``: b_1..b_10 plus the proven bound on the
+    rest come to 0.0823 |b_0|.  ``jmax`` sets the terms that I sums and the
+    report carries; ``tail_bound`` is the proven bound on those beyond them.
     """
     b = gegenbauer_terms(jmax)
     partial = float(np.sum(b[1:]))
-    tail = b[-1] * jmax / 4.0
-    total = spec.prefactor_a * (b[0] + partial)
-    if tail > 0.01 * partial:
-        verdict = "inconclusive"
-    elif partial + tail < abs(b[0]):
-        verdict = "stable"
-    else:
-        verdict = "not-stable-hypotheses"
+    certified = float(np.sum(gegenbauer_terms(10)[1:])) + _tail_bound(10)
     return StabilityReport(
         family=FIFTH_SOLITON,
         c=float("nan"),
         norm_derivative=None,
-        functional_i=total,
-        verdict=verdict,
+        functional_i=spec.prefactor_a * (b[0] + partial),
+        verdict="stable" if certified < -b[0] else "not-stable-hypotheses",
         terms={"b0": float(b[0])},
         partial_sum=partial,
-        tail_bound=float(tail),
+        tail_bound=_tail_bound(jmax),
         series=b,
     )
 
@@ -392,7 +388,7 @@ def cn4_norm_derivative(gamma: float, beta: float, c: float) -> StabilityReport:
 
 
 def family_reports(family: str, gamma: float, alpha: float, beta: float, speeds,
-                   flux_a: float, mode: str, jmax: int) -> list[StabilityReport]:
+                   flux_a: float, mode: str) -> list[StabilityReport]:
     """Stability reports of a family at each speed (and each mode for cn^2).
 
     ``mode`` "both" evaluates the cn^2 derivative in both readings.  The
@@ -410,7 +406,7 @@ def family_reports(family: str, gamma: float, alpha: float, beta: float, speeds,
         family_member(family, gamma, alpha, beta, c, flux_a)
     try:
         if family == FIFTH_SOLITON:
-            reports = [gegenbauer_verdict(GegenbauerSeriesSpec(gamma_coef=gamma), jmax=jmax)]
+            reports = [gegenbauer_verdict(GegenbauerSeriesSpec(gamma_coef=gamma))]
         elif family == KDV_SOLITON:
             derivs = [(c, kdv_soliton_norm_derivative(gamma, alpha, c)) for c in speeds]
             reports = [StabilityReport(family=family, c=c, norm_derivative=d, functional_i=None,

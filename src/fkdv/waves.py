@@ -16,8 +16,8 @@ Each family has one member function with the signature (gamma, alpha, beta,
 c, flux_a).  It states where a member exists, rejecting any other with a
 ValueError, and returns the member's parameters, amplitude, width and
 closed-form evaluator.  ``FAMILIES`` maps each family name to it;
-``family_member`` looks a family up and validates, and ``build_profile``,
-the one constructor, is that lookup plus one sampler.
+``family_member`` looks a family up, rejects gamma = 0 and validates, and
+``build_profile``, the one constructor, is that lookup plus one sampler.
 
 Every profile satisfies the first integral of the traveling ODE,
 
@@ -72,6 +72,10 @@ _MODULUS_CAP = 1.0 - 1e-10
 # solitary profiles are sampled on [-W, W] with W this many characteristic
 # widths, wide enough that the sech tails sit below 1e-12 of the peak
 _SOLITARY_WIDTHS = 20.0
+
+# narrower members are rejected: (pi n / L)^4 in the spectral fourth derivative
+# overflows near L = 3e-71 at n = 2^20, and L^4 in the cn^2 index underflows near 1e-81
+_MIN_WIDTH = 1e-60
 
 CN4_MODULUS = math.sqrt(2.0) / 2.0
 CN4_K = EllipticContext.from_modulus(CN4_MODULUS).K
@@ -147,11 +151,6 @@ class WaveProfile:
         return float(-self.xi[0])
 
 
-def _check_gamma(gamma: float) -> None:
-    if gamma == 0.0:
-        raise ValueError("gamma must be nonzero")
-
-
 def _check_finite(family: str, **values: float) -> None:
     """Reject a member whose named quantities overflowed (or turned NaN)."""
     for name, value in values.items():
@@ -162,7 +161,6 @@ def _check_finite(family: str, **values: float) -> None:
 
 def _fifth_soliton(gamma, alpha, beta, c, flux_a):
     """sech^4 member; its speed 36 a^2/169 b is pinned, so ``c`` is not read."""
-    _check_gamma(gamma)
     if alpha <= 0.0 or beta <= 0.0:
         raise ValueError("the sech^4 soliton needs alpha > 0 and beta > 0")
     amp = 105.0 * alpha ** 2 / (169.0 * gamma * beta)
@@ -176,7 +174,6 @@ def _fifth_soliton(gamma, alpha, beta, c, flux_a):
 def _kdv_soliton(gamma, alpha, beta, c, flux_a):
     """sech^2 member of the KdV limit (beta = 0), right-moving for alpha > 0 and left-moving
     for alpha < 0; the sign rule reads c and alpha, not c/alpha, which can underflow."""
-    _check_gamma(gamma)
     if c == 0.0 or alpha == 0.0 or (c < 0.0) != (alpha < 0.0):
         raise ValueError("the sech^2 soliton needs c/alpha > 0")
     amp = 3.0 * c / gamma
@@ -196,7 +193,6 @@ def _kdv_cnoidal(gamma, alpha, beta, c, flux_a):
     sign), and the flux_a -> 0 limit drives the modulus to 1, which is rejected
     as degenerate.
     """
-    _check_gamma(gamma)
     if alpha <= 0.0:
         raise ValueError("cnoidal construction restricted to alpha > 0")
     if flux_a * gamma < 0.0:
@@ -235,7 +231,6 @@ def _fifth_cnoidal(gamma, alpha, beta, c, flux_a):
     Its flux is forced: at the trough u and its first three derivatives vanish while
     u_xixixixi does not, so flux_a = -5 c^2/(56 gamma) and the one passed in is not read.
     """
-    _check_gamma(gamma)
     if c == 0.0 or beta == 0.0 or (c < 0.0) != (beta < 0.0):
         raise ValueError("the cn^4 wave needs c/beta > 0")
     amp = 5.0 * c / (2.0 * gamma)
@@ -263,19 +258,25 @@ def family_member(family: str, gamma: float, alpha: float, beta: float, c: float
                   flux_a: float):
     """Validate one member of ``family``; see :data:`FAMILIES` for what it returns.
 
-    A member whose closed form overflows (an OverflowError or a division by
-    an underflowed zero) or whose speed, amplitude, width or flux is not
-    finite is out of floating-point range and rejected with a ValueError.
+    A member whose closed form overflows (an OverflowError or a division by an
+    underflowed zero), whose speed, amplitude, width or flux is not finite, or whose
+    width lies below ``_MIN_WIDTH`` is out of floating-point range: a ValueError.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {tuple(FAMILIES)}")
+    if gamma == 0.0:
+        raise ValueError("gamma must be nonzero")
     try:
         member = FAMILIES[family](gamma, alpha, beta, c, flux_a)
     except ArithmeticError as exc:
         raise ValueError(f"the {family} member is out of floating-point range "
                          f"({type(exc).__name__} in its closed form)") from exc
-    params, _, amp, width, _ = member
+    params, cnoidal, amp, width, _ = member
     _check_finite(family, speed=params.c, amplitude=amp, width=width, flux=params.flux_a)
+    if width < _MIN_WIDTH:
+        name = "wavelength" if cnoidal else "width"
+        raise ValueError(f"the {family} member's {name} {width:.3g} is below {_MIN_WIDTH:g}: "
+                         "its derivatives are out of floating-point range")
     return member
 
 
@@ -318,14 +319,17 @@ def build_profile(family: str, gamma: float, alpha: float, beta: float,
 _CHOP = 1e-14
 
 
+def _wavenumbers(n: int, period: float) -> np.ndarray:
+    return 2.0 * np.pi * np.fft.rfftfreq(n, d=period / n)
+
+
 def _spectral_derivatives(u: np.ndarray, period: float) -> np.ndarray:
     """Rows u', u'', u''', u'''' of one period of samples, rounding-level modes zeroed."""
     n = len(u)
     uh = np.fft.rfft(u)
     mag = np.abs(uh)
     uh[mag < _CHOP * mag.max()] = 0.0
-    kap = 2.0 * np.pi * np.fft.rfftfreq(n, d=period / n)
-    return np.fft.irfft(uh * (1j * kap) ** np.arange(1, 5)[:, None], n)
+    return np.fft.irfft(uh * (1j * _wavenumbers(n, period)) ** np.arange(1, 5)[:, None], n)
 
 
 @dataclass(frozen=True, eq=False)

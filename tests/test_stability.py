@@ -63,6 +63,23 @@ def b_j_exact(j: int) -> Fraction:
     return num / (bracket * math.factorial(2 * j + 10))
 
 
+def poly_mul(p, q):
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for k, b in enumerate(q):
+            out[i + k] += a * b
+    return out
+
+
+def poly_in_t(*factors):
+    """The product of linear factors a j + b, each given as (a, b), as exact
+    coefficients in t = j - 1, lowest power first."""
+    out = [Fraction(1)]
+    for a, b in factors:
+        out = poly_mul(out, [Fraction(a) + b, Fraction(a)])
+    return out
+
+
 def cn2_ell2_norm_sq(gamma: float, alpha: float, c: float, flux_a: float,
                      half_period: float | None = None) -> float:
     """Two-sided coefficient norm of the cn^2 wave,
@@ -300,6 +317,41 @@ class TestGegenbauerSeries:
         assert comp[-1] - comp[-2] < comp[1] - comp[0]
 
 
+class TestGegenbauerCertificate:
+    """The verdict's proof in exact rationals: b_j <= (105/512) j^-9 for every
+    j >= 1, so the terms beyond J sum to at most (105/512)/(8 J^8), and at
+    J = 10 the partial sum plus that bound is below |b_0|."""
+
+    COEF = Fraction(105, 512)
+
+    def test_every_term_is_below_the_power_law(self):
+        # b_j = numerator / (bracket rising); in t = j - 1 >= 0 the bracket has
+        # positive coefficients, and so does COEF bracket rising - numerator j^9
+        bracket = poly_in_t((2, 4), (2, 5), (2, 6), (2, 7))
+        bracket[0] -= 1680
+        rising = poly_in_t(*((2, i) for i in range(1, 11)))
+        numerator = [1680 * a for a in poly_in_t((2, Fraction(11, 2)), (1, 1), (1, 1),
+                                                  (1, Fraction(9, 2)), (1, Fraction(9, 2)))]
+        j9 = poly_in_t(*[(1, 0)] * 9)
+        certificate = [self.COEF * a - b for a, b in
+                       zip(poly_mul(bracket, rising), poly_mul(numerator, j9))]
+        assert all(a > 0 for a in bracket)
+        # the leading powers cancel, so COEF is the j^-9 constant of b_j itself
+        assert certificate[14] == 0 and certificate[13] == 83160
+        assert all(a >= 0 for a in certificate)
+
+    def test_ten_terms_and_the_tail_settle_the_sign(self):
+        certified = sum(b_j_exact(j) for j in range(1, 11)) + self.COEF / (8 * 10 ** 8)
+        assert B0 == Fraction(-11, 179200)
+        assert certified < Fraction(11, 179200)
+        assert float(certified / -B0) == pytest.approx(0.0823, abs=1e-4)
+        # the verdict compares the same quantities in floating point
+        assert stability._tail_bound(10) == pytest.approx(float(self.COEF / (8 * 10 ** 8)),
+                                                          rel=1e-15)
+        assert float(np.sum(gegenbauer_terms(10)[1:])) + stability._tail_bound(10) == (
+            pytest.approx(float(certified), rel=1e-14))
+
+
 class TestGegenbauerVerdict:
     def test_stable_at_standard_truncation(self):
         rep = gegenbauer_verdict(GegenbauerSeriesSpec(), jmax=200)
@@ -308,9 +360,22 @@ class TestGegenbauerVerdict:
         assert rep.functional_i < 0.0
         assert rep.tail_bound < 0.01 * rep.partial_sum
 
-    def test_short_truncation_inconclusive(self):
-        rep = gegenbauer_verdict(GegenbauerSeriesSpec(), jmax=1)
-        assert rep.verdict == "inconclusive"
+    @pytest.mark.parametrize("gamma", [1.0, -1.0])
+    @pytest.mark.parametrize("jmax", [1, 2, 200])
+    def test_verdict_does_not_depend_on_the_truncation(self, jmax, gamma):
+        # a tail estimate of b_jmax jmax / 4 called jmax = 1 and 2 "inconclusive"
+        rep = gegenbauer_verdict(GegenbauerSeriesSpec(gamma_coef=gamma), jmax=jmax)
+        assert rep.verdict == "stable"
+        assert len(rep.series) == jmax + 1
+        assert rep.tail_bound == (105 / 512) / (8 * jmax ** 8)
+
+    def test_tail_bound_holds(self):
+        # the proven bound covers the terms beyond each truncation
+        b = gegenbauer_terms(10000)
+        tails = np.cumsum(b[:0:-1])[::-1]  # tails[j - 1] = sum_{i >= j} b_i
+        for jmax in (1, 2, 10, 200, 1000):
+            rep = gegenbauer_verdict(GegenbauerSeriesSpec(), jmax=jmax)
+            assert tails[jmax] < rep.tail_bound
 
     @pytest.mark.parametrize("gamma", [1.0, 0.5, 3.0])
     def test_mirror_has_the_same_index(self, gamma):
@@ -633,7 +698,7 @@ class TestMirroredMembers:
     def test_kdv_soliton(self, gamma, alpha, c):
         assert (bits(kdv_soliton_norm_derivative(gamma, -alpha, -c))
                 == bits(kdv_soliton_norm_derivative(gamma, alpha, c)))
-        canon, mirror = (family_reports("kdv-soliton", gamma, a, 0.0, [s], 0.0, "both", 200)[0]
+        canon, mirror = (family_reports("kdv-soliton", gamma, a, 0.0, [s], 0.0, "both")[0]
                          for a, s in ((alpha, c), (-alpha, -c)))
         assert (mirror.c, canon.c) == (-c, c)
         self.assert_same_index(mirror, canon)
@@ -644,7 +709,7 @@ class TestMirroredMembers:
         canon, mirror = (cn4_norm_derivative(gamma, b, s) for b, s in ((beta, c), (-beta, -c)))
         assert mirror.terms == canon.terms
         self.assert_same_index(mirror, canon)
-        canon, mirror = (family_reports("fifth-cnoidal", gamma, 0.0, b, [s], 0.0, "both", 200)[0]
+        canon, mirror = (family_reports("fifth-cnoidal", gamma, 0.0, b, [s], 0.0, "both")[0]
                          for b, s in ((beta, c), (-beta, -c)))
         self.assert_same_index(mirror, canon)
 
@@ -652,7 +717,7 @@ class TestMirroredMembers:
 class TestFamilyReports:
     def test_one_report_per_speed_and_mode(self):
         def reports(family, mode="both"):
-            return family_reports(family, 1.0, 1.0, 1.0, [0.5, 1.0], 1.0, mode, 200)
+            return family_reports(family, 1.0, 1.0, 1.0, [0.5, 1.0], 1.0, mode)
 
         assert len(reports("kdv-soliton")) == 2
         assert len(reports("fifth-cnoidal")) == 2
@@ -662,13 +727,13 @@ class TestFamilyReports:
         assert series.series is not None and series.verdict == "stable"
 
     def test_kdv_soliton_report(self):
-        (rep,) = family_reports("kdv-soliton", 2.0, 1.0, 1.0, [1.0], 1.0, "both", 200)
+        (rep,) = family_reports("kdv-soliton", 2.0, 1.0, 1.0, [1.0], 1.0, "both")
         assert rep.norm_derivative == kdv_soliton_norm_derivative(2.0, 1.0, 1.0) == 9.0
         assert rep.functional_i is None and rep.verdict == "stable"
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):
-            family_reports("kdv", 1.0, 1.0, 1.0, [1.0], 1.0, "both", 200)
+            family_reports("kdv", 1.0, 1.0, 1.0, [1.0], 1.0, "both")
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_no_verdict_for_a_member_the_builder_rejects(self, family):
@@ -677,7 +742,7 @@ class TestFamilyReports:
         rejected = 0
         for gamma, alpha, beta, c, flux_a in itertools.product(signs, signs, signs,
                                                                (-1.0, 0.5), (-1.0, 1.0)):
-            args = (family, gamma, alpha, beta, [c], flux_a, "both", 200)
+            args = (family, gamma, alpha, beta, [c], flux_a, "both")
             try:
                 build_profile(family, gamma, alpha, beta, c, flux_a)
             except ValueError as exc:
@@ -698,21 +763,22 @@ class TestFamilyReports:
     def test_index_out_of_range_is_rejected(self, family, gamma, alpha, beta, c, index):
         build_profile(family, gamma, alpha, beta, c, 1.0)
         with pytest.raises(ValueError, match=re.escape(f"the {family} stability index {index} ")):
-            family_reports(family, gamma, alpha, beta, [c], 1.0, "both", 200)
+            family_reports(family, gamma, alpha, beta, [c], 1.0, "both")
 
     @pytest.mark.parametrize("family, gamma, alpha, beta, c, error", [
         ("kdv-soliton", 1e200, 1.0, 0.0, 1.0, "OverflowError"),
-        ("kdv-cnoidal", 1.0, 1e-200, 0.0, 1.0, "ZeroDivisionError"),
+        # the modulus is 8.2e-101, so k^4 underflows to 0
+        ("kdv-cnoidal", 1.0, 1.0, 0.0, -1e100, "ZeroDivisionError"),
         ("fifth-cnoidal", 1e200, 0.0, 1.0, 1.0, "OverflowError"),
     ])
     def test_arithmetic_error_is_rejected(self, family, gamma, alpha, beta, c, error):
         build_profile(family, gamma, alpha, beta, c, 1.0)
         with pytest.raises(ValueError, match=re.escape(f"({error})")):
-            family_reports(family, gamma, alpha, beta, [c], 1.0, "both", 200)
+            family_reports(family, gamma, alpha, beta, [c], 1.0, "both")
 
     def test_empty_speed_list_rejected(self):
         with pytest.raises(ValueError, match="at least one speed"):
-            family_reports("fifth-soliton", 1.0, 1.0, 1.0, [], 1.0, "both", 200)
+            family_reports("fifth-soliton", 1.0, 1.0, 1.0, [], 1.0, "both")
 
 
 class TestReportSerialization:

@@ -256,6 +256,12 @@ class TestOutOfRange:
         # c/alpha and c/beta underflowed to 0 and the sign rule was blamed
         ("kdv-soliton", 1.0, 1e300, 0.0, 1e-300, 0.0, "member's width inf"),
         ("fifth-cnoidal", 1.0, 0.0, 1e300, 1e-300, 0.0, "member's width inf"),
+        # verify failed on the overflowing kappa^4 of the samples, and the cn^2
+        # index divided by an L^4 that underflowed to 0
+        ("kdv-cnoidal", 1.0, 1e-200, 0.0, 1.0, 1.0, "member's wavelength 6.29e-100 is below"),
+        ("fifth-cnoidal", 1.0, 0.0, 1e-300, 1.0, 0.0, "member's wavelength 1.34e-74 is below"),
+        # sqrt(alpha / c) underflowed to a width of 0
+        ("kdv-soliton", 1.0, 1e-300, 0.0, 1e300, 0.0, "member's width 0 is below"),
     ])
     def test_member_is_rejected_by_family(self, family, gamma, alpha, beta, c, flux, what):
         with pytest.raises(ValueError) as exc:
@@ -303,7 +309,7 @@ class TestEveryMember:
             cnoidal = family_member(family, gamma, alpha, beta, c, flux)[1]
         except ValueError:
             return
-        reports = family_reports(family, gamma, alpha, beta, [c], flux, "both", 200)
+        reports = family_reports(family, gamma, alpha, beta, [c], flux, "both")
         assert [rep.verdict for rep in reports] == ["stable"] * len(reports)
         if cnoidal is None:
             return
