@@ -38,9 +38,6 @@ def _wave_args(parser):
     parser.add_argument("--gamma", type=float, default=1.0, help="steepening coefficient")
     parser.add_argument("--alpha", type=float, default=1.0, help="third-order dispersion")
     parser.add_argument("--beta", type=float, default=1.0, help="fifth-order dispersion")
-    parser.add_argument("--C", dest="cee", type=float, default=0.0,
-                        help="linear advection coefficient (simulate only; the closed "
-                             "forms assume C = 0)")
     parser.add_argument("--c", type=float, default=1.0, help="wave speed")
     parser.add_argument("--A", dest="flux_a", type=float, default=1.0,
                         help="mass-flux constant of the cn^2 family")
@@ -75,12 +72,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="negative control: scale the speed used in the residual check")
 
     p_stab = command("stability", "evaluate the stability functionals")
-    p_stab.add_argument("--mode", choices=("fixed-flux", "fixed-period", "both"),
-                        default="both", help="what is held fixed while differentiating in c")
     p_stab.add_argument("--c-grid", default=None,
                         help="comma-separated speeds (default: the single --c)")
 
     p_sim = command("simulate", "evolve a (perturbed) wave")
+    p_sim.add_argument("--C", dest="cee", type=float, default=0.0,
+                       help="linear advection coefficient")
     p_sim.add_argument("--gridN", dest="grid_n", type=int, default=0,
                        help=f"grid points, power of two up to {_GRID_CAP} "
                             "(0 = family default)")
@@ -123,9 +120,6 @@ def _config_defaults(parser: argparse.ArgumentParser, path: str):
 
 def _check_args(args):
     """Reject, before any work, inputs no command can honour."""
-    if args.cee != 0.0 and args.command != "simulate":
-        raise ValueError(f"--C {args.cee!r}: the closed forms assume C = 0; "
-                         "only simulate takes a nonzero C")
     # --samples 0 picks the family default
     for flag, value, lo, hi in (("--nmax", getattr(args, "nmax", 1), 1, _NMAX_CAP),
                                 ("--samples", getattr(args, "samples", 0) or 64, 64, _SAMPLES_CAP)):
@@ -139,7 +133,8 @@ def _check_args(args):
                              f"above the cap of {_SPEEDS_CAP}")
     for flag, value in (("--gamma", args.gamma), ("--alpha", args.alpha),
                         ("--beta", args.beta), ("--c", args.c), ("--A", args.flux_a),
-                        ("--C", args.cee), ("--speed-scale", getattr(args, "speed_scale", 1.0)),
+                        ("--C", getattr(args, "cee", 0.0)),
+                        ("--speed-scale", getattr(args, "speed_scale", 1.0)),
                         *(("--c-grid", c) for c in getattr(args, "speeds", ()))):
         if not math.isfinite(value):
             raise ValueError(f"{flag} must be finite, got {value!r}")
@@ -150,13 +145,8 @@ def _check_args(args):
 
 
 def _build_profile(args) -> waves.WaveProfile:
-    profile = waves.build_profile(args.family, args.gamma, args.alpha, args.beta,
-                                  args.c, args.flux_a,
-                                  n_samples=getattr(args, "samples", 0))
-    if args.cee != 0.0:
-        profile = dataclasses.replace(
-            profile, params=dataclasses.replace(profile.params, cee=args.cee))
-    return profile
+    return waves.build_profile(args.family, args.gamma, args.alpha, args.beta, args.c,
+                               args.flux_a, n_samples=getattr(args, "samples", 0))
 
 
 def cmd_profile(args) -> int:
@@ -181,9 +171,9 @@ def cmd_profile(args) -> int:
 
 
 def conservation_rows(check: waves.ConservationCheck, p: waves.MediumParams):
-    """``verify``'s four conservation-law rows (name, value, tolerance); a row passes when
-    value <= tolerance, and a ratio to a zero or non-finite scale is NaN, so it fails."""
-    ratio1, ratio2 = (float(np.std(law)) / scale if 0.0 < scale < math.inf else math.nan
+    """``verify``'s four conservation-law rows (name, value, tolerance); a ratio to a
+    zero or non-finite scale is NaN, so it fails its row."""
+    ratio1, ratio2 = (float(np.std(law / scale)) if 0.0 < scale < math.inf else math.nan
                       for law, scale in ((check.law1, check.scale1), (check.law2, check.scale2)))
     return [("law-1 std/scale", ratio1, 1e-6),
             ("|law-1 mean - A|", abs(check.mean1 - p.flux_a), 1e-6 * max(1.0, check.scale1)),
@@ -192,22 +182,21 @@ def conservation_rows(check: waves.ConservationCheck, p: waves.MediumParams):
 
 
 def cmd_verify(args) -> int:
+    """Compute every row (conservation, coefficients, PF(2)) before the first line or
+    CSV, so a member any check rejects (exit 2) leaves no output.  A row passes when
+    value <= tolerance < inf, so a NaN value or an infinite tolerance fails it."""
     profile = _build_profile(args)
-    # the DFT oracle of the coefficients needs 8 samples per harmonic
-    if profile.periodic and len(profile.u) < 8 * args.nmax:
-        raise ValueError(f"--samples {len(profile.u)} is below 8*--nmax = {8 * args.nmax} "
-                         "for a periodic family")
     if args.speed_scale != 1.0:
         # tamper with the propagation speed to exercise the failure path
         bad = dataclasses.replace(profile.params, c=profile.params.c * args.speed_scale)
         profile = dataclasses.replace(profile, params=bad)
 
     check = waves.conservation_residuals(profile)
-    waves.write_csv(f"{args.out}_residuals.csv", ("xi", "residual1", "residual2"),
-                    zip(check.xi, check.residual1, check.residual2))
     p = profile.params
-    print(f"conservation: law1 mean {check.mean1:.6e} (declared A {p.flux_a:.6e}), "
-          f"law2 mean {check.mean2:.6e} (declared B {p.flux_b:.6e})")
+    tables = [(f"{args.out}_residuals.csv", ("xi", "residual1", "residual2"),
+               zip(check.xi, check.residual1, check.residual2))]
+    lines = [f"conservation: law1 mean {check.mean1:.6e} (declared A {p.flux_a:.6e}), "
+             f"law2 mean {check.mean2:.6e} (declared B {p.flux_b:.6e})"]
     rows = conservation_rows(check, p)
 
     if profile.periodic:
@@ -217,21 +206,24 @@ def cmd_verify(args) -> int:
         analytic = fourier.analytic_coeffs(profile, 2 * nmax)
         exact, dft = analytic.values[:nmax + 1], fourier.dft_coeffs(profile, nmax).values
         rel = np.abs(exact - dft) / np.maximum(np.abs(exact), 1e-6 * abs(exact[0]))
-        waves.write_csv(f"{args.out}_coeffs.csv", ("n", "analytic", "dft", "rel_err"),
-                        zip(range(nmax + 1), exact, dft, rel))
+        tables.append((f"{args.out}_coeffs.csv", ("n", "analytic", "dft", "rel_err"),
+                       zip(range(nmax + 1), exact, dft, rel)))
         # a member of negative amplitude mirrors a positive one, (u, gamma) ->
         # (-u, -gamma) or for cn^4 (u, c, beta, xi) -> (-u, -c, -beta, -xi),
         # whose coefficients are exactly the negated ones
         sign = math.copysign(1.0, profile.amplitude)
         if sign < 0.0:
-            print("PF(2) is checked on the mirrored sequence -u_hat")
+            lines.append("PF(2) is checked on the mirrored sequence -u_hat")
         report = fourier.pf2_check(sign * analytic.two_sided(), window=nmax)
         rows += [(f"coeff rel err (n <= {nmax})", float(np.max(rel)), 1e-8),
                  ("-(least PF(2) minor)", -report.min_minor, report.tolerance)]
 
-    passed = [value <= tol for _, value, tol in rows]
-    for (name, value, tol), ok in zip(rows, passed):
-        print(f"{name:<24}{value:>11.3e}  tolerance {tol:.3e}  {'ok' if ok else 'FAIL'}")
+    for path, header, table in tables:
+        waves.write_csv(path, header, table)
+    passed = [value <= tol < math.inf for _, value, tol in rows]
+    lines += [f"{name:<24}{value:>11.3e}  tolerance {tol:.3e}  {'ok' if ok else 'FAIL'}"
+              for (name, value, tol), ok in zip(rows, passed)]
+    print("\n".join(lines))
     if not all(passed):
         print(f"FAIL: {rows[passed.index(False)][0]}")
         return _CHECK_FAILED
@@ -241,7 +233,7 @@ def cmd_verify(args) -> int:
 
 def cmd_stability(args) -> int:
     reports = stability.family_reports(args.family, args.gamma, args.alpha, args.beta,
-                                       args.speeds, args.flux_a, args.mode)
+                                       args.speeds, args.flux_a)
     stability.reports_to_csv(reports, f"{args.out}_stability.csv")
     for rep in reports:
         if rep.series is not None:
@@ -266,6 +258,8 @@ def _parse_perturbation(text: str | None, seed: int):
 
 def cmd_simulate(args) -> int:
     profile = _build_profile(args)
+    profile = dataclasses.replace(
+        profile, params=dataclasses.replace(profile.params, cee=args.cee))
     perturbation = _parse_perturbation(args.perturb, args.seed)
     try:
         report = pde.stability_experiment(

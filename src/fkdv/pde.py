@@ -506,7 +506,8 @@ def stability_experiment(profile: WaveProfile, perturbation: Perturbation | None
     cnoidal wave over-resolves already); ``dt`` to :func:`default_dt` of the
     perturbed state.  The report holds the diagnostics
     series plus max/initial distances in both H^1 and H^2, covering the two
-    readings of the stability definition.
+    readings of the stability definition.  A field whose squares overflow on
+    the grid is out of floating-point range: a ValueError.
     """
     if grid_n is None:
         grid_n = 512 if profile.periodic else 1024
@@ -516,6 +517,11 @@ def stability_experiment(profile: WaveProfile, perturbation: Perturbation | None
     if perturbation is not None:
         state = replace(state, field=apply_perturbation(
             state.field, perturbation, state.domain_length, profile.amplitude))
+    # the 3/2-rule product and the momentum diagnostic square the field and sum it
+    peak = float(np.max(np.abs(state.field)))
+    if not math.isfinite(peak * peak * grid_n):
+        raise ValueError(f"the {profile.family} member's field of peak {peak:.3g} squared "
+                         f"over {grid_n} points is out of floating-point range")
     if dt is None:
         dt = default_dt(state)
     final, records = evolve(state, horizon, dt=dt, record_every=record_every,

@@ -16,7 +16,7 @@ norm along the family:
   four-term sign decomposition of the product rule evaluated term by term.
 
 Differentiating the cn^2 norm in c is ambiguous about what is held fixed;
-both readings are implemented: ``fixed-flux`` holds the mass flux constant
+both readings are always reported: ``fixed-flux`` holds the mass flux constant
 (the wavelength then drifts with c), ``fixed-period`` lets the flux move
 with c so the wavelength stays put (the setting of the periodic stability
 framework); its derivative follows from the implicit-function theorem on
@@ -388,10 +388,10 @@ def cn4_norm_derivative(gamma: float, beta: float, c: float) -> StabilityReport:
 
 
 def family_reports(family: str, gamma: float, alpha: float, beta: float, speeds,
-                   flux_a: float, mode: str) -> list[StabilityReport]:
-    """Stability reports of a family at each speed (and each mode for cn^2).
+                   flux_a: float) -> list[StabilityReport]:
+    """Stability reports of a family at each speed.
 
-    ``mode`` "both" evaluates the cn^2 derivative in both readings.  The
+    cn^2 gets two reports per speed, fixed-flux then fixed-period.  The
     sech^4 soliton's speed is pinned by the medium, so it gives the single
     Gegenbauer report whatever ``speeds`` holds.  Every speed's member is
     validated by :func:`waves.family_member` first, so a member that the
@@ -412,9 +412,8 @@ def family_reports(family: str, gamma: float, alpha: float, beta: float, speeds,
             reports = [StabilityReport(family=family, c=c, norm_derivative=d, functional_i=None,
                                        verdict=_sign_verdict(d)) for c, d in derivs]
         elif family == KDV_CNOIDAL:
-            modes = ("fixed-flux", "fixed-period") if mode == "both" else (mode,)
             reports = [cn2_norm_derivative(gamma, alpha, c, flux_a, mode=m)
-                       for c in speeds for m in modes]
+                       for c in speeds for m in ("fixed-flux", "fixed-period")]
         else:
             reports = [cn4_norm_derivative(gamma, beta, c) for c in speeds]
     except ArithmeticError as exc:

@@ -361,25 +361,25 @@ def conservation_residuals(profile: WaveProfile) -> ConservationCheck:
     point at the end, so that point is dropped; its tails sit below 1e-12 of
     the peak, which makes the box periodic to rounding.  For an exact profile
     both laws are constant; the constants are flux_a and flux_b (zero for
-    solitary families).
+    solitary families).  A member whose terms, as formed here, overflow is out
+    of floating-point range: a ValueError names the law and its scale.
     """
     p = profile.params
     keep = profile.xi < profile.window
     xi, u = profile.xi[keep], profile.u[keep]
-    u1, u2, u3, u4 = _spectral_derivatives(u, 2.0 * profile.window)
-
-    t1 = (-p.c * u, 0.5 * p.gamma * u ** 2, p.alpha * u2, -p.beta * u4)
-    law1 = sum(t1)
-    scale1 = float(np.max(sum(np.abs(t) for t in t1)))
-
-    t2 = (
-        -0.5 * p.c * u ** 2,
-        p.gamma / 3.0 * u ** 3,
-        p.alpha * (u * u2 - 0.5 * u1 ** 2),
-        -p.beta * (u * u4 - u1 * u3 + 0.5 * u2 ** 2),
-    )
-    law2 = sum(t2)
-    scale2 = float(np.max(sum(np.abs(t) for t in t2)))
+    # an overflow shows as a scale that is not finite, which is rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
+        u1, u2, u3, u4 = _spectral_derivatives(u, 2.0 * profile.window)
+        t1 = (-p.c * u, 0.5 * p.gamma * u ** 2, p.alpha * u2, -p.beta * u4)
+        t2 = (-0.5 * p.c * u ** 2, p.gamma / 3.0 * u ** 3, p.alpha * (u * u2 - 0.5 * u1 ** 2),
+              -p.beta * (u * u4 - u1 * u3 + 0.5 * u2 ** 2))
+        scale1, scale2 = (float(np.max(sum(np.abs(t) for t in terms))) for terms in (t1, t2))
+    for law, scale in ((1, scale1), (2, scale2)):
+        # the grid mean sums len(u) terms of at most the scale each
+        if not math.isfinite(scale * len(u)):
+            raise ValueError(f"the {profile.family} member's law-{law} scale {scale:.3g} over "
+                             f"{len(u)} samples is out of floating-point range")
+    law1, law2 = sum(t1), sum(t2)
 
     mean1 = float(np.mean(law1))
     mean2 = float(np.mean(law2))

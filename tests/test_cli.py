@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -84,17 +85,40 @@ class TestVerifyCommand:
         assert code == 1
         assert "FAIL" in capsys.readouterr().out
 
-    def test_non_finite_residuals_fail(self, tmp_path, capsys):
-        # the profile's square overflows at amplitude 3e307, so every law statistic
-        # is NaN (at c = 1e200, used before, the member's width is now rejected)
-        with pytest.warns(RuntimeWarning):
-            code = run(["verify", "--family", "kdv-soliton", "--gamma", "1e-307",
-                        "--out", str(tmp_path / "v")])
+    def test_non_finite_residuals_fail(self, tmp_path, capsys, monkeypatch):
+        # a member whose terms overflow is now rejected (TestOutOfRange), so the
+        # NaN law is planted
+        residuals = waves.conservation_residuals
+
+        def nan_law(profile):
+            check = residuals(profile)
+            return dataclasses.replace(check, law1=check.law1 * math.nan, mean1=math.nan)
+
+        monkeypatch.setattr(waves, "conservation_residuals", nan_law)
+        code = run(["verify", "--family", "kdv-soliton", "--out", str(tmp_path / "v")])
         assert code == 1
         out = capsys.readouterr().out
         assert "FAIL: law-1 std/scale" in out
         value, tol, status = verify_rows(out)["law-1 std/scale"]
         assert math.isnan(value) and tol == 1e-6 and status == "FAIL"
+
+    def test_infinite_tolerance_fails(self, tmp_path, capsys, monkeypatch):
+        # at --gamma 1e-110 the law-2 statistics overflowed and the row read
+        # "|law-2 mean - B|  inf  tolerance inf  ok"
+        residuals = waves.conservation_residuals
+        monkeypatch.setattr(waves, "conservation_residuals", lambda profile: dataclasses.replace(
+            residuals(profile), mean2=math.inf, scale2=math.inf))
+        assert run(["verify", "--family", "kdv-soliton", "--out", str(tmp_path / "v")]) == 1
+        assert verify_rows(capsys.readouterr().out)["|law-2 mean - B|"] == (
+            math.inf, math.inf, "FAIL")
+
+    def test_large_finite_terms_pass(self, tmp_path, capsys):
+        # amplitude 3e100: every term is finite, but np.std(law) squared deviations
+        # near 1e187 and read "law-2 std/scale  inf"
+        assert run(["verify", "--family", "kdv-soliton", "--gamma", "1e-100",
+                    "--out", str(tmp_path / "v")]) == 0
+        value, tol, status = verify_rows(capsys.readouterr().out)["law-2 std/scale"]
+        assert value < 1e-12 and status == "ok"
 
     def test_zero_scale_fails(self, tmp_path, capsys):
         # u^2 underflows at c = 1e-300, so both laws' scales are exactly zero
@@ -188,14 +212,13 @@ class TestStabilityCommand:
         assert code == 0
         assert "36" in capsys.readouterr().out
 
-    def test_cnoidal_fixed_period_mode(self, tmp_path, capsys):
-        code = run(["stability", "--family", "kdv-cnoidal", "--mode", "fixed-period",
-                    "--c-grid", "0.5,1", "--out", str(tmp_path / "s")])
-        assert code == 0
+    def test_cnoidal_reports_both_readings(self, tmp_path, capsys):
+        # there is no --mode: each speed gets a fixed-flux and a fixed-period row
+        assert run(["stability", "--family", "kdv-cnoidal", "--out", str(tmp_path / "s")]) == 0
         out = capsys.readouterr().out
-        assert "fixed-period" in out
-        lines = (tmp_path / "s_stability.csv").read_text().splitlines()
-        assert len(lines) == 3  # header + two speeds
+        assert "[fixed-flux]" in out and "[fixed-period]" in out
+        rows = self.read_rows(tmp_path / "s_stability.csv")
+        assert [r["mode"] for r in rows] == ["fixed-flux", "fixed-period"]
 
     # d/dc of the cn^2 norm at c = 0, gamma = alpha = A = 1, from 50-digit
     # mpmath (tests/test_stability.py); a speed of 1e-12 moves it by ~1e-12
@@ -207,7 +230,7 @@ class TestStabilityCommand:
 
     # c = 0 exited 2 while the derivative was a Richardson difference with
     # steps relative to |c|; the closed form judges it
-    def test_cnoidal_zero_speed_is_a_usage_error(self, tmp_path):
+    def test_cnoidal_zero_speed_is_judged(self, tmp_path):
         code = run(["stability", "--family", "kdv-cnoidal", "--c-grid", "0",
                     "--out", str(tmp_path / "s")])
         assert code == 0
@@ -220,7 +243,7 @@ class TestStabilityCommand:
 
     # speeds too small for the Richardson steps exited 2; they are judged now
     @pytest.mark.parametrize("speed", ["1e-300", "1e-12"])
-    def test_cnoidal_unresolvable_speed_is_a_usage_error(self, tmp_path, speed):
+    def test_cnoidal_unresolvable_speed_is_judged(self, tmp_path, speed):
         code = run(["stability", "--family", "kdv-cnoidal", f"--c-grid=0.5,{speed}",
                     "--out", str(tmp_path / "s")])
         assert code == 0
@@ -336,6 +359,11 @@ class TestSimulateCommand:
                                           None, horizon=0.2, grid_n=256, dt=0.01)
         assert pde.snapshot_to_csv(report.final_state).encode() == snap["0"]
 
+    def test_largest_squarable_field_runs(self, tmp_path):
+        # amplitude 3e150: 1024 squares of the field sum to about 9e303
+        assert run(["simulate", "--family", "kdv-soliton", "--gamma", "1e-150",
+                    "--horizon", "0.1", "--out", str(tmp_path / "s")]) == 0
+
     def test_diagnostics_header(self, tmp_path):
         run(["simulate", "--family", "kdv-soliton", "--gridN", "256",
              "--horizon", "0.2", "--dt", "0.01", "--out", str(tmp_path / "r")])
@@ -346,9 +374,22 @@ class TestSimulateCommand:
 class TestValidation:
     @pytest.mark.parametrize("command", ["profile", "verify", "stability"])
     def test_closed_forms_reject_advection(self, command, monkeypatch, capsys):
+        # only simulate declares --C, so even the C = 0 the closed forms assume is refused
         monkeypatch.setitem(cli._COMMANDS, command, unreachable)
-        assert run([command, "--family", "kdv-cnoidal", "--C", "0.5"]) == 2
-        assert "assume C = 0" in capsys.readouterr().err
+        for value in ("0.5", "0"):
+            with pytest.raises(SystemExit) as exc:
+                run([command, "--family", "kdv-cnoidal", "--C", value])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --C" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, option", [
+        ("profile", "--C"), ("verify", "--C"), ("stability", "--C"), ("stability", "--mode"),
+    ])
+    def test_help_lists_only_options_the_command_reads(self, command, option, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--help"])
+        assert exc.value.code == 0
+        assert option not in capsys.readouterr().out
 
     @pytest.mark.parametrize("nmax", ["0", "65", "100000"])
     def test_nmax_cap(self, nmax, monkeypatch, capsys):
@@ -408,11 +449,12 @@ class TestValidation:
 
     @pytest.mark.parametrize("family", ["kdv-cnoidal", "fifth-cnoidal"])
     def test_too_few_samples_for_nmax_write_nothing(self, family, tmp_path, capsys):
-        # the coefficient oracle needs 8*nmax samples; checked before any CSV
+        # the DFT oracle of the coefficients needs 8*nmax samples; verify reaches it
+        # before any output
         assert run(["verify", "--family", family, "--samples", "100", "--nmax", "64",
                     "--out", str(tmp_path / "v")]) == 2
         captured = capsys.readouterr()
-        assert "--samples 100" in captured.err and "8*--nmax = 512" in captured.err
+        assert "need at least 8*n_max = 512 samples, got 100" in captured.err
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
 
@@ -452,7 +494,17 @@ class TestOutOfRange:
          "member's wavelength 6.29e-100"),
         (["simulate", "--family", "kdv-soliton", "--c", "1e300", "--alpha", "1e-300"],
          "member's width 0"),
+        # u^2 or u^3 of the conservation terms overflowed: RuntimeWarnings, NaN
+        # or inf rows and exit 1; cn^4 also wrote both CSVs before PF(2) exited 2
+        (["verify", "--family", "fifth-cnoidal", "--gamma", "1e-160"], "member's law-1 scale inf"),
+        (["verify", "--family", "kdv-soliton", "--gamma", "1e-307"], "member's law-1 scale nan"),
+        (["verify", "--family", "kdv-soliton", "--gamma", "1e-120"], "member's law-2 scale inf"),
+        (["verify", "--family", "kdv-soliton", "--gamma", "1e-110"], "member's law-2 scale inf"),
+        # the solver squared the field: RuntimeWarnings, then "blow-up" and exit 1
+        (["simulate", "--family", "kdv-soliton", "--gamma", "1e-155", "--horizon", "0.1"],
+         "member's field of peak 3e+155"),
     ])
+    @pytest.mark.filterwarnings("error")
     def test_usage_error_names_the_family(self, argv, reason, tmp_path, capsys):
         assert run([*argv, "--out", str(tmp_path / "o")]) == 2
         captured = capsys.readouterr()

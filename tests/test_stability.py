@@ -698,7 +698,7 @@ class TestMirroredMembers:
     def test_kdv_soliton(self, gamma, alpha, c):
         assert (bits(kdv_soliton_norm_derivative(gamma, -alpha, -c))
                 == bits(kdv_soliton_norm_derivative(gamma, alpha, c)))
-        canon, mirror = (family_reports("kdv-soliton", gamma, a, 0.0, [s], 0.0, "both")[0]
+        canon, mirror = (family_reports("kdv-soliton", gamma, a, 0.0, [s], 0.0)[0]
                          for a, s in ((alpha, c), (-alpha, -c)))
         assert (mirror.c, canon.c) == (-c, c)
         self.assert_same_index(mirror, canon)
@@ -709,31 +709,30 @@ class TestMirroredMembers:
         canon, mirror = (cn4_norm_derivative(gamma, b, s) for b, s in ((beta, c), (-beta, -c)))
         assert mirror.terms == canon.terms
         self.assert_same_index(mirror, canon)
-        canon, mirror = (family_reports("fifth-cnoidal", gamma, 0.0, b, [s], 0.0, "both")[0]
+        canon, mirror = (family_reports("fifth-cnoidal", gamma, 0.0, b, [s], 0.0)[0]
                          for b, s in ((beta, c), (-beta, -c)))
         self.assert_same_index(mirror, canon)
 
 
 class TestFamilyReports:
     def test_one_report_per_speed_and_mode(self):
-        def reports(family, mode="both"):
-            return family_reports(family, 1.0, 1.0, 1.0, [0.5, 1.0], 1.0, mode)
+        def reports(family):
+            return family_reports(family, 1.0, 1.0, 1.0, [0.5, 1.0], 1.0)
 
         assert len(reports("kdv-soliton")) == 2
         assert len(reports("fifth-cnoidal")) == 2
         assert [r.mode for r in reports("kdv-cnoidal")] == ["fixed-flux", "fixed-period"] * 2
-        assert [r.mode for r in reports("kdv-cnoidal", "fixed-period")] == ["fixed-period"] * 2
         (series,) = reports("fifth-soliton")
         assert series.series is not None and series.verdict == "stable"
 
     def test_kdv_soliton_report(self):
-        (rep,) = family_reports("kdv-soliton", 2.0, 1.0, 1.0, [1.0], 1.0, "both")
+        (rep,) = family_reports("kdv-soliton", 2.0, 1.0, 1.0, [1.0], 1.0)
         assert rep.norm_derivative == kdv_soliton_norm_derivative(2.0, 1.0, 1.0) == 9.0
         assert rep.functional_i is None and rep.verdict == "stable"
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):
-            family_reports("kdv", 1.0, 1.0, 1.0, [1.0], 1.0, "both")
+            family_reports("kdv", 1.0, 1.0, 1.0, [1.0], 1.0)
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_no_verdict_for_a_member_the_builder_rejects(self, family):
@@ -742,7 +741,7 @@ class TestFamilyReports:
         rejected = 0
         for gamma, alpha, beta, c, flux_a in itertools.product(signs, signs, signs,
                                                                (-1.0, 0.5), (-1.0, 1.0)):
-            args = (family, gamma, alpha, beta, [c], flux_a, "both")
+            args = (family, gamma, alpha, beta, [c], flux_a)
             try:
                 build_profile(family, gamma, alpha, beta, c, flux_a)
             except ValueError as exc:
@@ -763,7 +762,7 @@ class TestFamilyReports:
     def test_index_out_of_range_is_rejected(self, family, gamma, alpha, beta, c, index):
         build_profile(family, gamma, alpha, beta, c, 1.0)
         with pytest.raises(ValueError, match=re.escape(f"the {family} stability index {index} ")):
-            family_reports(family, gamma, alpha, beta, [c], 1.0, "both")
+            family_reports(family, gamma, alpha, beta, [c], 1.0)
 
     @pytest.mark.parametrize("family, gamma, alpha, beta, c, error", [
         ("kdv-soliton", 1e200, 1.0, 0.0, 1.0, "OverflowError"),
@@ -774,11 +773,11 @@ class TestFamilyReports:
     def test_arithmetic_error_is_rejected(self, family, gamma, alpha, beta, c, error):
         build_profile(family, gamma, alpha, beta, c, 1.0)
         with pytest.raises(ValueError, match=re.escape(f"({error})")):
-            family_reports(family, gamma, alpha, beta, [c], 1.0, "both")
+            family_reports(family, gamma, alpha, beta, [c], 1.0)
 
     def test_empty_speed_list_rejected(self):
         with pytest.raises(ValueError, match="at least one speed"):
-            family_reports("fifth-soliton", 1.0, 1.0, 1.0, [], 1.0, "both")
+            family_reports("fifth-soliton", 1.0, 1.0, 1.0, [], 1.0)
 
 
 class TestReportSerialization:

@@ -309,7 +309,7 @@ class TestEveryMember:
             cnoidal = family_member(family, gamma, alpha, beta, c, flux)[1]
         except ValueError:
             return
-        reports = family_reports(family, gamma, alpha, beta, [c], flux, "both")
+        reports = family_reports(family, gamma, alpha, beta, [c], flux)
         assert [rep.verdict for rep in reports] == ["stable"] * len(reports)
         if cnoidal is None:
             return
