@@ -5,8 +5,13 @@ lines, # comments, keys named like the flags) < command-line flags.  The
 file's values become the subcommand's defaults, so argparse converts and
 checks them like flag values.  Exit codes: 0 success, 1 a
 verification or stability check failed (or the run blew up), 2 usage or
-parameter-validation errors.  All CSV output uses full round-trip precision
-so identical configurations reproduce byte-identical files.
+parameter-validation errors.
+
+This module produces every output of the package: the library modules only
+compute and return values, and each subcommand writes its CSV files and
+prints its lines itself.  ``_write_csv`` is the one CSV writer; it uses full
+round-trip precision, so identical configurations reproduce byte-identical
+files.
 """
 
 from __future__ import annotations
@@ -118,6 +123,27 @@ def _config_defaults(parser: argparse.ArgumentParser, path: str):
     parser.set_defaults(**defaults)
 
 
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    return str(value)
+
+
+def _write_csv(path, header, rows, comment=None):
+    """Write rows as CSV to ``path``.
+
+    Floats get full round-trip precision (``%.17g``), None an empty cell;
+    an optional ``comment`` becomes a leading ``# ...`` line.
+    """
+    lines = [] if comment is None else [f"# {comment}"]
+    lines.append(",".join(header))
+    lines.extend(",".join(_csv_cell(v) for v in row) for row in rows)
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def _check_args(args):
     """Reject, before any work, inputs no command can honour."""
     # --samples 0 picks the family default
@@ -152,8 +178,10 @@ def _build_profile(args) -> waves.WaveProfile:
 def cmd_profile(args) -> int:
     profile = _build_profile(args)
     path = f"{args.out}_profile.csv"
-    waves.profile_to_csv(profile, path)
     p = profile.params
+    _write_csv(path, ("xi", "u"), zip(profile.xi, profile.u),
+               comment=f"{profile.family} gamma={p.gamma!r} alpha={p.alpha!r} beta={p.beta!r} "
+                       f"c={p.c!r} flux_a={p.flux_a!r} flux_b={p.flux_b!r}")
     print(f"family           {profile.family}")
     print(f"amplitude        {profile.amplitude:.9g}")
     print(f"speed c          {p.c:.9g}")
@@ -194,7 +222,7 @@ def cmd_verify(args) -> int:
     check = waves.conservation_residuals(profile)
     p = profile.params
     tables = [(f"{args.out}_residuals.csv", ("xi", "residual1", "residual2"),
-               zip(check.xi, check.residual1, check.residual2))]
+               zip(check.xi, check.law1 - check.mean1, check.law2 - check.mean2))]
     lines = [f"conservation: law1 mean {check.mean1:.6e} (declared A {p.flux_a:.6e}), "
              f"law2 mean {check.mean2:.6e} (declared B {p.flux_b:.6e})"]
     rows = conservation_rows(check, p)
@@ -219,7 +247,7 @@ def cmd_verify(args) -> int:
                  ("-(least PF(2) minor)", -report.min_minor, report.tolerance)]
 
     for path, header, table in tables:
-        waves.write_csv(path, header, table)
+        _write_csv(path, header, table)
     passed = [value <= tol < math.inf for _, value, tol in rows]
     lines += [f"{name:<24}{value:>11.3e}  tolerance {tol:.3e}  {'ok' if ok else 'FAIL'}"
               for (name, value, tol), ok in zip(rows, passed)]
@@ -234,11 +262,26 @@ def cmd_verify(args) -> int:
 def cmd_stability(args) -> int:
     reports = stability.family_reports(args.family, args.gamma, args.alpha, args.beta,
                                        args.speeds, args.flux_a)
-    stability.reports_to_csv(reports, f"{args.out}_stability.csv")
+    # one family_reports call gives every report the same term names
+    _write_csv(f"{args.out}_stability.csv",
+               ["family", "mode", "c", "norm_derivative", "functional_i", "verdict",
+                *(f"term_{name}" for name in reports[0].terms or {})],
+               ([rep.family, rep.mode, rep.c, rep.norm_derivative, rep.functional_i,
+                 rep.verdict, *(rep.terms or {}).values()] for rep in reports))
     for rep in reports:
         if rep.series is not None:
-            waves.write_csv(f"{args.out}_bj.csv", ("j", "b_j"), enumerate(rep.series))
-        print(rep.summary())
+            _write_csv(f"{args.out}_bj.csv", ("j", "b_j"), enumerate(rep.series))
+        lines = [f"family={rep.family} c={rep.c:g} verdict={rep.verdict}"]
+        if rep.norm_derivative is not None:
+            lines.append(f"  d/dc squared norm = {rep.norm_derivative:.9g}"
+                         + (f"  [{rep.mode}]" if rep.mode else ""))
+        if rep.functional_i is not None:
+            lines.append(f"  I = {rep.functional_i:.9g}")
+        if rep.partial_sum is not None:
+            lines.append(f"  partial sum = {rep.partial_sum:.9g}, "
+                         f"tail bound = {rep.tail_bound:.3g}")
+        lines += [f"  term {name} = {val:.9g}" for name, val in (rep.terms or {}).items()]
+        print("\n".join(lines))
     if any(r.verdict != "stable" for r in reports):
         print("FAIL: stability hypotheses not satisfied")
         return _CHECK_FAILED
@@ -271,8 +314,13 @@ def cmd_simulate(args) -> int:
     except pde.BlowUpError as exc:
         print(f"FAIL: blow-up at t={exc.time:g}")
         return _CHECK_FAILED
-    pde.diagnostics_to_csv(report.records, f"{args.out}_diagnostics.csv")
-    pde.snapshot_to_csv(report.final_state, f"{args.out}_snapshot.csv")
+    _write_csv(f"{args.out}_diagnostics.csv",
+               ("time", "mass", "momentum", "distH1", "distH2", "shift"),
+               ((r.time, r.mass, r.momentum, r.dist_h1, r.dist_h2, r.shift)
+                for r in report.records))
+    final = report.final_state
+    _write_csv(f"{args.out}_snapshot.csv", ("x", "u"), zip(final.x, final.field),
+               comment=f"t={final.time:.17g}")
     print(f"family            {report.family}")
     print(f"horizon           {report.horizon:.6g}")
     print(f"initial dist H2   {report.initial_dist_h2:.6e}")

@@ -39,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .waves import MediumParams, WaveProfile, _wavenumbers, write_csv
+from .waves import MediumParams, WaveProfile, _wavenumbers
 
 __all__ = [
     "SpectralState",
@@ -54,8 +54,6 @@ __all__ = [
     "characteristic_time",
     "apply_perturbation",
     "stability_experiment",
-    "diagnostics_to_csv",
-    "snapshot_to_csv",
 ]
 
 _BLOWUP_FACTOR = 100.0
@@ -506,22 +504,29 @@ def stability_experiment(profile: WaveProfile, perturbation: Perturbation | None
     cnoidal wave over-resolves already); ``dt`` to :func:`default_dt` of the
     perturbed state.  The report holds the diagnostics
     series plus max/initial distances in both H^1 and H^2, covering the two
-    readings of the stability definition.  A field whose squares overflow on
-    the grid is out of floating-point range: a ValueError.
+    readings of the stability definition.  A field, perturbed or not, whose
+    squares overflow on the grid is out of floating-point range: a ValueError
+    that names the perturbation.
     """
     if grid_n is None:
         grid_n = 512 if profile.periodic else 1024
     state, reference = state_from_profile(profile, grid_n=grid_n)
     if horizon is None:
         horizon = 10.0 * characteristic_time(profile)
+    field = state.field
     if perturbation is not None:
-        state = replace(state, field=apply_perturbation(
-            state.field, perturbation, state.domain_length, profile.amplitude))
+        # an overflow shows as a peak that is not finite, which is rejected below
+        with np.errstate(over="ignore", invalid="ignore"):
+            field = apply_perturbation(field, perturbation, state.domain_length,
+                                       profile.amplitude)
     # the 3/2-rule product and the momentum diagnostic square the field and sum it
-    peak = float(np.max(np.abs(state.field)))
+    peak = float(np.max(np.abs(field)))
     if not math.isfinite(peak * peak * grid_n):
-        raise ValueError(f"the {profile.family} member's field of peak {peak:.3g} squared "
+        how = ("" if perturbation is None
+               else f" perturbed by {perturbation.kind}:{perturbation.eps!r}")
+        raise ValueError(f"the {profile.family} member's field{how} of peak {peak:.3g} squared "
                          f"over {grid_n} points is out of floating-point range")
+    state = replace(state, field=field)
     if dt is None:
         dt = default_dt(state)
     final, records = evolve(state, horizon, dt=dt, record_every=record_every,
@@ -537,13 +542,3 @@ def stability_experiment(profile: WaveProfile, perturbation: Perturbation | None
         max_dist_h2=max(r.dist_h2 for r in records),
         final_state=final,
     )
-
-
-def diagnostics_to_csv(records, path=None) -> str:
-    rows = ((r.time, r.mass, r.momentum, r.dist_h1, r.dist_h2, r.shift) for r in records)
-    return write_csv(path, ("time", "mass", "momentum", "distH1", "distH2", "shift"), rows)
-
-
-def snapshot_to_csv(state: SpectralState, path=None) -> str:
-    return write_csv(path, ("x", "u"), zip(state.x, state.field),
-                     comment=f"t={state.time:.17g}")

@@ -33,7 +33,7 @@ import numpy as np
 
 from .elliptic import CSCH_OVERFLOW, EllipticContext
 from .waves import (CN4_K, FIFTH_CNOIDAL, FIFTH_SOLITON, KDV_CNOIDAL, KDV_SOLITON,
-                    family_member, write_csv)
+                    family_member)
 
 __all__ = [
     "GegenbauerSeriesSpec",
@@ -47,7 +47,6 @@ __all__ = [
     "cn2_norm_derivative",
     "cn4_norm_derivative",
     "family_reports",
-    "reports_to_csv",
 ]
 
 _SERIES_CAP = 400          # hard cap on coefficient sums in n
@@ -74,21 +73,6 @@ class StabilityReport:
     partial_sum: float | None = None
     tail_bound: float | None = None
     series: np.ndarray | None = None
-
-    def summary(self) -> str:
-        lines = [f"family={self.family} c={self.c:g} verdict={self.verdict}"]
-        if self.norm_derivative is not None:
-            lines.append(f"  d/dc squared norm = {self.norm_derivative:.9g}"
-                         + (f"  [{self.mode}]" if self.mode else ""))
-        if self.functional_i is not None:
-            lines.append(f"  I = {self.functional_i:.9g}")
-        if self.partial_sum is not None:
-            lines.append(f"  partial sum = {self.partial_sum:.9g}, "
-                         f"tail bound = {self.tail_bound:.3g}")
-        if self.terms:
-            for name, val in self.terms.items():
-                lines.append(f"  term {name} = {val:.9g}")
-        return "\n".join(lines)
 
 
 def _sign_verdict(norm_derivative: float) -> str:
@@ -425,14 +409,3 @@ def family_reports(family: str, gamma: float, alpha: float, beta: float, speeds,
                 raise ValueError(f"the {family} stability index {value} at c = {rep.c} "
                                  "is out of floating-point range")
     return reports
-
-
-def reports_to_csv(reports, path=None) -> str:
-    """One CSV row per report: family, mode, c, derivative, I, terms, verdict."""
-    term_names = list(dict.fromkeys(name for rep in reports for name in (rep.terms or {})))
-    header = ["family", "mode", "c", "norm_derivative", "functional_i", "verdict"]
-    header += [f"term_{name}" for name in term_names]
-    rows = ([rep.family, rep.mode, rep.c, rep.norm_derivative, rep.functional_i,
-             rep.verdict, *((rep.terms or {}).get(name) for name in term_names)]
-            for rep in reports)
-    return write_csv(path, header, rows)

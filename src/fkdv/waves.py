@@ -27,7 +27,6 @@ pointwise; ``conservation_residuals`` evaluates that expression and the
 second (energy-flux) law on the stored grid and reports the deviations.
 All four families share one spectral differentiator with rounding-level
 modes zeroed; a soliton is taken on its box without the duplicated endpoint.
-``write_csv`` is the one CSV writer of the package.
 """
 
 from __future__ import annotations
@@ -56,8 +55,6 @@ __all__ = [
     "build_profile",
     "family_member",
     "conservation_residuals",
-    "profile_to_csv",
-    "write_csv",
 ]
 
 FIFTH_SOLITON = "fifth-soliton"
@@ -337,9 +334,9 @@ class ConservationCheck:
     """Pointwise conservation-law expressions on a profile's grid.
 
     ``law1``/``law2`` are the mass- and energy-flux expressions, ``mean*``
-    their grid means (the measured flux constants), ``residual*`` the
-    deviations from those means, and ``scale*`` the largest pointwise sum of
-    term magnitudes (the natural yardstick for the residuals).
+    their grid means (the measured flux constants), and ``scale*`` the
+    largest pointwise sum of term magnitudes (the natural yardstick for the
+    deviations ``law - mean``).
     """
 
     xi: np.ndarray
@@ -347,8 +344,6 @@ class ConservationCheck:
     law2: np.ndarray
     mean1: float
     mean2: float
-    residual1: np.ndarray
-    residual2: np.ndarray
     scale1: float
     scale2: float
 
@@ -381,48 +376,5 @@ def conservation_residuals(profile: WaveProfile) -> ConservationCheck:
                              f"{len(u)} samples is out of floating-point range")
     law1, law2 = sum(t1), sum(t2)
 
-    mean1 = float(np.mean(law1))
-    mean2 = float(np.mean(law2))
-    return ConservationCheck(
-        xi=xi,
-        law1=law1,
-        law2=law2,
-        mean1=mean1,
-        mean2=mean2,
-        residual1=law1 - mean1,
-        residual2=law2 - mean2,
-        scale1=scale1,
-        scale2=scale2,
-    )
-
-
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
-
-
-def write_csv(path, header, rows, comment=None) -> str:
-    """Write rows as CSV and return the text; ``path=None`` only returns it.
-
-    Floats get full round-trip precision (``%.17g``), None an empty cell;
-    an optional ``comment`` becomes a leading ``# ...`` line.
-    """
-    lines = [] if comment is None else [f"# {comment}"]
-    lines.append(",".join(header))
-    lines.extend(",".join(_csv_cell(v) for v in row) for row in rows)
-    text = "\n".join(lines) + "\n"
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text
-
-
-def profile_to_csv(profile: WaveProfile, path=None) -> str:
-    """Serialize samples as CSV: a comment header naming family/parameters, then xi,u."""
-    p = profile.params
-    comment = (f"{profile.family} gamma={p.gamma!r} alpha={p.alpha!r} beta={p.beta!r} "
-               f"c={p.c!r} flux_a={p.flux_a!r} flux_b={p.flux_b!r}")
-    return write_csv(path, ("xi", "u"), zip(profile.xi, profile.u), comment)
+    return ConservationCheck(xi=xi, law1=law1, law2=law2, mean1=float(np.mean(law1)),
+                             mean2=float(np.mean(law2)), scale1=scale1, scale2=scale2)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import fkdv
-from fkdv import cli, fourier, pde, waves
+from fkdv import cli, fourier, pde, stability, waves
 from fkdv.cli import main
 
 
@@ -19,6 +19,14 @@ def run(argv):
 
 def unreachable(*args, **kwargs):
     raise AssertionError("validation should have stopped the command")
+
+
+def read_csv(path):
+    """A CSV the command line wrote: its '#' lines, its header and its numeric rows."""
+    lines = Path(path).read_text().splitlines()
+    comments = [line for line in lines if line.startswith("#")]
+    data = np.loadtxt(path, delimiter=",", skiprows=len(comments) + 1, ndmin=2)
+    return comments, lines[len(comments)], data
 
 
 def verify_rows(out):
@@ -357,7 +365,10 @@ class TestSimulateCommand:
         report = pde.stability_experiment(waves.build_profile("kdv-cnoidal", 1.0, 1.0, 1.0,
                                                               1.0, 1.0),
                                           None, horizon=0.2, grid_n=256, dt=0.01)
-        assert pde.snapshot_to_csv(report.final_state).encode() == snap["0"]
+        comments, header, data = read_csv(tmp_path / "c0_snapshot.csv")
+        assert comments == [f"# t={report.final_state.time:.17g}"] and header == "x,u"
+        assert np.array_equal(data[:, 0], report.final_state.x)
+        assert np.array_equal(data[:, 1], report.final_state.field)
 
     def test_largest_squarable_field_runs(self, tmp_path):
         # amplitude 3e150: 1024 squares of the field sum to about 9e303
@@ -369,6 +380,9 @@ class TestSimulateCommand:
              "--horizon", "0.2", "--dt", "0.01", "--out", str(tmp_path / "r")])
         header = (tmp_path / "r_diagnostics.csv").read_text().splitlines()[0]
         assert header == "time,mass,momentum,distH1,distH2,shift"
+        # the snapshot's comment line carries the final time
+        lines = (tmp_path / "r_snapshot.csv").read_text().splitlines()
+        assert lines[:2] == ["# t=0.20000000000000001", "x,u"] and len(lines) == 2 + 256
 
 
 class TestValidation:
@@ -503,6 +517,13 @@ class TestOutOfRange:
         # the solver squared the field: RuntimeWarnings, then "blow-up" and exit 1
         (["simulate", "--family", "kdv-soliton", "--gamma", "1e-155", "--horizon", "0.1"],
          "member's field of peak 3e+155"),
+        # the perturbed field overflows: the message names the perturbation
+        (["simulate", "--family", "kdv-soliton", "--perturb", "scale:1e308"],
+         "member's field perturbed by scale:1e+308 of peak inf"),
+        (["simulate", "--family", "kdv-soliton", "--perturb", "noise:1e308"],
+         "member's field perturbed by noise:1e+308 of peak "),
+        (["simulate", "--family", "kdv-soliton", "--perturb", "cosine:1e308"],
+         "member's field perturbed by cosine:1e+308 of peak 1e+308"),
     ])
     @pytest.mark.filterwarnings("error")
     def test_usage_error_names_the_family(self, argv, reason, tmp_path, capsys):
@@ -512,6 +533,70 @@ class TestOutOfRange:
         assert "out of floating-point range" in captured.err
         assert "Traceback" not in captured.err and captured.out == ""
         assert list(tmp_path.iterdir()) == []
+
+
+class TestSerialization:
+    def test_write_csv_cells(self, tmp_path):
+        path = tmp_path / "t.csv"
+        cli._write_csv(path, ("a", "b", "c"),
+                       [(1, 0.1, None), ("x", np.float64(-2.5), ""), (math.nan, -math.inf, 0.0)],
+                       comment="note")
+        assert path.read_text() == "# note\na,b,c\n1,0.10000000000000001,\nx,-2.5,\nnan,-inf,0\n"
+        cli._write_csv(path, ("v",), [])
+        assert path.read_text() == "v\n"
+
+    @pytest.mark.parametrize("family, c, flux, samples, comment", [
+        ("kdv-soliton", 1.0, 1.0, 257,
+         "# kdv-soliton gamma=1.0 alpha=1.0 beta=0.0 c=1.0 flux_a=0.0 flux_b=0.0"),
+        ("kdv-cnoidal", 1.2, 1.5, 512,
+         "# kdv-cnoidal gamma=1.0 alpha=1.0 beta=0.0 c=1.2 flux_a=1.5 flux_b=0.0"),
+    ], ids=["kdv-soliton", "kdv-cnoidal"])
+    def test_csv_header_and_roundtrip(self, family, c, flux, samples, comment, tmp_path):
+        assert run(["profile", "--family", family, "--c", str(c), "--A", str(flux),
+                    "--samples", str(samples), "--out", str(tmp_path / "p")]) == 0
+        comments, header, data = read_csv(tmp_path / "p_profile.csv")
+        assert comments == [comment] and header == "xi,u"
+        prof = waves.build_profile(family, 1.0, 1.0, 1.0, c, flux, n_samples=samples)
+        assert data.shape == (samples, 2)
+        assert np.array_equal(data[:, 0], prof.xi)
+        assert np.array_equal(data[:, 1], prof.u)
+
+    TERMS = {"fifth-soliton": ",term_b0",
+             "kdv-soliton": "",
+             "kdv-cnoidal": ",term_i,term_ii,term_iii,term_iv,term_sum,term_frozen_direct"
+                            ",term_K_minus_D,term_d_K_minus_D",
+             "fifth-cnoidal": ",term_norm,term_series_constant"}
+
+    @pytest.mark.parametrize("family", list(TERMS))
+    def test_csv_rows(self, family, tmp_path):
+        # one row per report with its values at %.17g; None is an empty cell
+        assert run(["stability", "--family", family, "--out", str(tmp_path / "s")]) == 0
+        header, *rows = (tmp_path / "s_stability.csv").read_text().splitlines()
+        assert header == "family,mode,c,norm_derivative,functional_i,verdict" + self.TERMS[family]
+        reports = stability.family_reports(family, 1.0, 1.0, 1.0, [1.0], 1.0)
+        assert len(rows) == len(reports)
+        for row, rep in zip(rows, reports):
+            numbers = [rep.c, rep.norm_derivative, rep.functional_i, *(rep.terms or {}).values()]
+            cells = row.split(",")
+            assert cells[:2] == [rep.family, rep.mode or ""] and cells[5] == "stable"
+            assert cells[2:5] + cells[6:] == ["" if v is None else f"{v:.17g}" for v in numbers]
+
+    @pytest.mark.parametrize("family, text", [
+        ("fifth-cnoidal", "family=fifth-cnoidal c=1 verdict=stable\n"
+                          "  d/dc squared norm = 2.97619048\n"
+                          "  I = -9.93311057\n"
+                          "  term norm = 1.48809524\n"
+                          "  term series_constant = 0.0168194095\n"),
+        ("fifth-soliton", "family=fifth-soliton c=nan verdict=stable\n"
+                          "  I = -0.00344259386\n"
+                          "  partial sum = 5.05461834e-06, tail bound = 1e-20\n"
+                          "  term b0 = -6.13839286e-05\n"),
+        ("kdv-soliton", "family=kdv-soliton c=1 verdict=stable\n"
+                        "  d/dc squared norm = 36\n"),
+    ], ids=["fifth-cnoidal", "fifth-soliton", "kdv-soliton"])
+    def test_summary_text(self, family, text, tmp_path, capsys):
+        assert run(["stability", "--family", family, "--out", str(tmp_path / "s")]) == 0
+        assert capsys.readouterr().out == text
 
 
 class TestConfigFile:

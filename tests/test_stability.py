@@ -20,7 +20,6 @@ from fkdv.stability import (
     gegenbauer_terms,
     gegenbauer_verdict,
     kdv_soliton_norm_derivative,
-    reports_to_csv,
     solve_flux_for_wavelength,
 )
 from fkdv import stability
@@ -778,22 +777,3 @@ class TestFamilyReports:
     def test_empty_speed_list_rejected(self):
         with pytest.raises(ValueError, match="at least one speed"):
             family_reports("fifth-soliton", 1.0, 1.0, 1.0, [], 1.0)
-
-
-class TestReportSerialization:
-    def test_csv_rows(self, tmp_path):
-        reports = [
-            cn2_norm_derivative(1.0, 1.0, 1.0, 1.0),
-            cn4_norm_derivative(1.0, 1.0, 1.0),
-        ]
-        path = tmp_path / "stab.csv"
-        text = reports_to_csv(reports, path)
-        lines = text.splitlines()
-        assert lines[0].startswith("family,mode,c,norm_derivative,functional_i,verdict")
-        assert len(lines) == 3
-        assert "kdv-cnoidal" in lines[1] and "stable" in lines[1]
-
-    def test_summary_text(self):
-        rep = cn4_norm_derivative(1.0, 1.0, 1.0)
-        text = rep.summary()
-        assert "stable" in text and "d/dc" in text

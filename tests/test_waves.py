@@ -26,8 +26,6 @@ from fkdv.waves import (
     build_profile,
     conservation_residuals,
     family_member,
-    profile_to_csv,
-    write_csv,
 )
 from fkdv.waves import _CHOP, _spectral_derivatives
 
@@ -391,7 +389,7 @@ class TestConservation:
     def test_fifth_soliton_first_law(self):
         prof = build_profile(FIFTH_SOLITON, 1.0, 1.0, 1.0, 0.0, 0.0, n_samples=2048)
         check = conservation_residuals(prof)
-        assert np.max(np.abs(check.residual1)) < 1e-7
+        assert np.max(np.abs(check.law1 - check.mean1)) < 1e-7
         assert abs(check.mean1) < 1e-7
 
     def test_kdv_cnoidal_flux_recovered(self):
@@ -436,7 +434,7 @@ class TestConservation:
         prof = build_profile(family, 1.0, 1.0, 1.0, 1.0, 1.0)
         check = conservation_residuals(prof)
         n = len(prof.u) if prof.periodic else len(prof.u) - 1
-        assert len(check.xi) == len(check.residual1) == len(check.residual2) == n
+        assert len(check.xi) == len(check.law1) == len(check.law2) == n
         assert np.array_equal(check.xi, prof.xi[:n])
 
     @pytest.mark.parametrize("family", FAMILIES)
@@ -466,7 +464,7 @@ class TestConservation:
         bad = MediumParams(gamma=1.0, alpha=1.0, beta=1.0, c=prof.params.c * 1.1)
         tampered = dataclasses.replace(prof, params=bad)
         check = conservation_residuals(tampered)
-        assert np.max(np.abs(check.residual1)) > 1e-3
+        assert np.max(np.abs(check.law1 - check.mean1)) > 1e-3
 
 
 class TestWidth:
@@ -480,25 +478,3 @@ class TestWidth:
     def test_window_spans_twenty_widths(self):
         for prof in all_four_profiles()[:2]:
             assert prof.window == 20.0 * prof.width
-
-
-class TestSerialization:
-    def test_write_csv_cells(self, tmp_path):
-        path = tmp_path / "t.csv"
-        text = write_csv(path, ("a", "b", "c"), [(1, 0.1, None), ("x", np.float64(-2.5), "")],
-                         comment="note")
-        assert text == "# note\na,b,c\n1,0.10000000000000001,\nx,-2.5,\n"
-        assert path.read_text() == text
-        assert write_csv(None, ("v",), [(math.nan,), (-math.inf,)]) == "v\nnan\n-inf\n"
-
-    def test_csv_header_and_roundtrip(self, tmp_path):
-        prof = build_profile(KDV_SOLITON, 1.0, 1.0, 0.0, 1.0, 0.0, n_samples=257)
-        path = tmp_path / "prof.csv"
-        text = profile_to_csv(prof, path)
-        lines = text.splitlines()
-        assert lines[0].startswith("# kdv-soliton")
-        assert lines[1] == "xi,u"
-        data = np.loadtxt(path, delimiter=",", skiprows=2)
-        assert data.shape == (257, 2)
-        assert np.array_equal(data[:, 0], prof.xi)
-        assert np.array_equal(data[:, 1], prof.u)
