@@ -8,48 +8,4 @@ minors), and demonstrates orbital stability dynamically with a periodic
 pseudospectral solver.
 """
 
-from .elliptic import EllipticContext, jacobi_cn
-from .fourier import (
-    CoeffSequence,
-    Pf2Report,
-    cn2_coeffs,
-    cn4_coeffs_halfmodulus,
-    dft_coeffs,
-    dft_cosine_coeffs,
-    pf2_check,
-)
-from .pde import (
-    BlowUpError,
-    DiagnosticsRecord,
-    ExperimentReport,
-    Perturbation,
-    SpectralState,
-    evolve,
-    orbital_distance,
-    stability_experiment,
-)
-from .stability import (
-    GegenbauerSeriesSpec,
-    StabilityReport,
-    cn2_norm_derivative,
-    cn4_norm_derivative,
-    gegenbauer_terms,
-    gegenbauer_verdict,
-    kdv_soliton_norm_derivative,
-)
-from .waves import (
-    FAMILIES,
-    FIFTH_CNOIDAL,
-    FIFTH_SOLITON,
-    KDV_CNOIDAL,
-    KDV_SOLITON,
-    CnoidalParams,
-    ConservationCheck,
-    DegenerateModulusError,
-    MediumParams,
-    WaveProfile,
-    build_profile,
-    conservation_residuals,
-)
-
 __version__ = "0.1.0"

@@ -11,7 +11,9 @@ This module produces every output of the package: the library modules only
 compute and return values, and each subcommand writes its CSV files and
 prints its lines itself.  ``_write_csv`` is the one CSV writer; it uses full
 round-trip precision, so identical configurations reproduce byte-identical
-files.
+files.  Each subcommand imports the library modules it runs where it runs
+them, so a fresh process loads only those; ``waves`` is imported here, since
+the parser reads its family names.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import sys
 
 import numpy as np
 
-from . import fourier, pde, stability, waves
+from . import waves
 
 _USAGE_ERROR = 2
 _CHECK_FAILED = 1
@@ -144,6 +146,13 @@ def _write_csv(path, header, rows, comment=None):
         fh.write("\n".join(lines) + "\n")
 
 
+def _grid_speed(entry: str) -> float:
+    try:
+        return float(entry)
+    except ValueError:
+        raise ValueError(f"--c-grid entry {entry!r} is not a number") from None
+
+
 def _check_args(args):
     """Reject, before any work, inputs no command can honour."""
     # --samples 0 picks the family default
@@ -152,7 +161,7 @@ def _check_args(args):
         if not lo <= value <= hi:
             raise ValueError(f"{flag} must lie in [{lo}, {hi}], got {value}")
     if args.command == "stability":
-        args.speeds = ([float(s) for s in args.c_grid.split(",")] if args.c_grid
+        args.speeds = ([_grid_speed(s) for s in args.c_grid.split(",")] if args.c_grid
                        else [args.c])
         if len(args.speeds) > _SPEEDS_CAP:
             raise ValueError(f"--c-grid holds {len(args.speeds)} speeds, "
@@ -228,6 +237,8 @@ def cmd_verify(args) -> int:
     rows = conservation_rows(check, p)
 
     if profile.periodic:
+        from . import fourier
+
         nmax = args.nmax
         # PF(2) at window nmax reads 2*nmax coefficients; each coefficient is
         # computed on its own, so the first nmax + 1 are also the compared ones
@@ -260,6 +271,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_stability(args) -> int:
+    from . import stability
+
     reports = stability.family_reports(args.family, args.gamma, args.alpha, args.beta,
                                        args.speeds, args.flux_a)
     # one family_reports call gives every report the same term names
@@ -291,6 +304,8 @@ def cmd_stability(args) -> int:
 def _parse_perturbation(text: str | None, seed: int):
     if not text:
         return None
+    from . import pde
+
     try:
         kind, eps = text.split(":", 1)
         return pde.Perturbation(kind=kind.strip(), eps=float(eps),
@@ -300,6 +315,8 @@ def _parse_perturbation(text: str | None, seed: int):
 
 
 def cmd_simulate(args) -> int:
+    from . import pde
+
     profile = _build_profile(args)
     profile = dataclasses.replace(
         profile, params=dataclasses.replace(profile.params, cee=args.cee))

@@ -162,19 +162,27 @@ def _etdrk4_coeffs(n: int, domain_length: float, params: MediumParams, dt: float
 
     Returns the nonlinear factor -i kappa gamma/2 and the weights e^z,
     e^{z/2}, (dt/2) phi_1(z/2), f1, 2 f2 and f3 of Cox-Matthews with z = L dt.
+    A weight that overflows is a ValueError naming C and dt.
     """
     kap = _wavenumbers(n, domain_length)
-    sym = 1j * (-params.cee * kap + params.alpha * kap ** 3 + params.beta * kap ** 5)
-    z = sym * dt
-    e_full = np.exp(z)
-    e_half = np.exp(0.5 * z)
-    p1h, _, _ = _phi123(0.5 * z)
-    q = 0.5 * dt * p1h
-    p1, p2, p3 = _phi123(z)
-    f1 = dt * (p1 - 3.0 * p2 + 4.0 * p3)
-    f2 = dt * (p2 - 2.0 * p3)
-    f3 = dt * (4.0 * p3 - p2)
-    return -0.5j * params.gamma * kap, e_full, e_half, q, f1, 2.0 * f2, f3
+    # an overflow shows as a weight that is not finite, which is rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
+        sym = 1j * (-params.cee * kap + params.alpha * kap ** 3 + params.beta * kap ** 5)
+        z = sym * dt
+        e_full = np.exp(z)
+        e_half = np.exp(0.5 * z)
+        p1h, _, _ = _phi123(0.5 * z)
+        q = 0.5 * dt * p1h
+        p1, p2, p3 = _phi123(z)
+        f1 = dt * (p1 - 3.0 * p2 + 4.0 * p3)
+        f2 = dt * (p2 - 2.0 * p3)
+        f3 = dt * (4.0 * p3 - p2)
+    coeffs = -0.5j * params.gamma * kap, e_full, e_half, q, f1, 2.0 * f2, f3
+    if not all(np.all(np.isfinite(w)) for w in coeffs):
+        raise ValueError(f"the ETDRK4 weights overflow at C = {params.cee!r} with "
+                         f"dt = {dt!r}: the linear symbol times dt reaches "
+                         f"{float(np.max(np.abs(z))):.3g}")
+    return coeffs
 
 
 class _Workspace:
@@ -253,8 +261,8 @@ def evolve(state: SpectralState, t_end: float, dt: float, record_every: int,
     and the final time.  A run of zero length (``t_end`` equal to the state's
     time) takes no step and returns the state with one record.  Rejected
     before the first step: a non-finite ``t_end`` or ``dt``, a backward run
-    (``t_end`` before the state's time), ``dt <= 0``, ``record_every < 1``
-    and a run of more than ``_STEPS_CAP`` steps.
+    (``t_end`` before the state's time), ``dt <= 0``, ``record_every < 1``,
+    a run of more than ``_STEPS_CAP`` steps and ETDRK4 weights that overflow.
     """
     if not math.isfinite(t_end):
         raise ValueError(f"t_end must be finite, got {t_end!r}")
@@ -266,8 +274,7 @@ def evolve(state: SpectralState, t_end: float, dt: float, record_every: int,
         raise ValueError(f"record_every must be at least 1, got {record_every!r}")
     steps = (t_end - state.time) / dt - 1e-12
     if steps > _STEPS_CAP:
-        count = math.ceil(steps) if math.isfinite(steps) else steps
-        raise ValueError(f"reaching t_end = {t_end!r} with dt = {dt!r} takes {count} "
+        raise ValueError(f"reaching t_end = {t_end!r} with dt = {dt!r} takes {steps:.3g} "
                          f"steps, above the cap of {_STEPS_CAP}")
     n_steps = max(1, int(math.ceil(steps)))
     dt = (t_end - state.time) / n_steps
@@ -447,8 +454,9 @@ class Perturbation:
     def __post_init__(self):
         if self.kind not in ("scale", "cosine", "noise"):
             raise ValueError(f"unknown perturbation kind {self.kind!r}")
-        if self.kind == "noise" and self.seed is None:
-            raise ValueError("noise perturbations must carry a seed")
+        if self.kind == "noise" and (self.seed is None or self.seed < 0):
+            raise ValueError(f"noise perturbations must carry a non-negative seed, "
+                             f"got {self.seed!r}")
         if not math.isfinite(self.eps):
             raise ValueError(f"perturbation eps must be finite, got {self.eps!r}")
 

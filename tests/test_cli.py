@@ -450,7 +450,8 @@ class TestValidation:
         ("--horizon", "nan", "t_end must be finite, got nan"),
         ("--dt", "nan", "dt must be positive and finite, got nan"),
         ("--dt", "inf", "dt must be positive and finite, got inf"),
-        ("--dt", "1e-9", "20000000000 steps, above the cap of 1000000"),
+        ("--dt", "1e-9", "takes 2e+10 steps, above the cap of 1000000"),
+        ("--horizon", "1e300", "takes 1e+302 steps, above the cap of 1000000"),
     ])
     def test_time_inputs_bounded(self, flag, value, message, tmp_path, monkeypatch, capsys):
         def unreachable_step(*args):
@@ -460,6 +461,24 @@ class TestValidation:
         assert run(["simulate", "--family", "kdv-soliton", "--gridN", "256", flag, value,
                     "--out", str(tmp_path / "s")]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--family", "kdv-cnoidal", "--C", "1e200", "--horizon", "0.1"],
+         "error: the ETDRK4 weights overflow at C = 1e+200 with dt = 0.00138888"),
+        (["simulate", "--family", "kdv-soliton", "--perturb", "noise:0.01", "--seed", "-1"],
+         "error: bad perturbation spec 'noise:0.01': noise perturbations must carry a "
+         "non-negative seed, got -1\n"),
+        (["stability", "--family", "kdv-cnoidal", "--c-grid", ",,"],
+         "error: --c-grid entry '' is not a number\n"),
+        (["stability", "--family", "kdv-cnoidal", "--c-grid", "0.5,1x"],
+         "error: --c-grid entry '1x' is not a number\n"),
+    ], ids=["weights-overflow", "negative-seed", "empty-speed", "bad-speed"])
+    @pytest.mark.filterwarnings("error")
+    def test_rejected_with_the_input_named(self, argv, message, tmp_path, capsys):
+        assert run([*argv, "--out", str(tmp_path / "o")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(message) and captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("family", ["kdv-cnoidal", "fifth-cnoidal"])
     def test_too_few_samples_for_nmax_write_nothing(self, family, tmp_path, capsys):
@@ -675,12 +694,29 @@ class TestConfigFile:
         assert exc.value.code == 2
 
 
-def test_import_loads_no_scipy():
-    # scipy is a test oracle only; the command line must not pay for its import
+_CORE_MODULES = ["fkdv", "fkdv.cli", "fkdv.elliptic", "fkdv.waves"]
+
+
+@pytest.mark.parametrize("argv, modules", [
+    pytest.param(None, ["fkdv"], id="import"),
+    pytest.param(["profile", "--family", "kdv-cnoidal"], _CORE_MODULES, id="profile"),
+    pytest.param(["verify", "--family", "fifth-soliton"], _CORE_MODULES, id="verify-soliton"),
+    pytest.param(["verify", "--family", "kdv-cnoidal"], _CORE_MODULES + ["fkdv.fourier"],
+                 id="verify-cnoidal"),
+    pytest.param(["stability", "--family", "kdv-cnoidal"], _CORE_MODULES + ["fkdv.stability"],
+                 id="stability"),
+    pytest.param(["simulate", "--family", "kdv-soliton", "--gridN", "256", "--horizon", "0.1"],
+                 _CORE_MODULES + ["fkdv.pde"], id="simulate"),
+])
+def test_import_loads_no_scipy(argv, modules, tmp_path):
+    # scipy is a test oracle only, and each subcommand loads only the modules it runs
     src = str(Path(fkdv.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, fkdv.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    run_command = ("import fkdv" if argv is None else
+                   f"import fkdv.cli; assert fkdv.cli.main({argv!r}) == 0")
+    code = (f"import sys; {run_command}; "
+            "print(sorted(m for m in sys.modules if m.startswith(('fkdv', 'scipy'))))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=120).stdout
-    assert out.strip() == "[]"
+                         text=True, check=True, timeout=120, cwd=tmp_path).stdout
+    assert out.splitlines()[-1] == str(sorted(modules))

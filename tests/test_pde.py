@@ -443,6 +443,8 @@ class TestPerturbations:
     def test_noise_requires_seed(self):
         with pytest.raises(ValueError):
             Perturbation("noise", 0.1)
+        with pytest.raises(ValueError, match="non-negative seed, got -1"):
+            Perturbation("noise", 0.1, seed=-1)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -563,8 +565,15 @@ class TestTimeInputs:
         assert [r.time for r in records] == [t0]
 
     def test_step_count_cap(self, state):
-        with pytest.raises(ValueError, match="20000000000 steps, above the cap of 1000000"):
+        with pytest.raises(ValueError, match=r"takes 2e\+10 steps, above the cap of 1000000"):
             evolve(state, 20.0, dt=1e-9, record_every=1)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_weights_rejected(self, state):
+        state = replace(state, params=replace(state.params, cee=1e200))
+        with pytest.raises(ValueError, match=r"ETDRK4 weights overflow at C = 1e\+200 "
+                                             r"with dt = 0\.01:"):
+            evolve(state, 0.1, dt=0.01, record_every=1)
 
     def test_step_count_cap_admits_its_bound(self, state, monkeypatch):
         monkeypatch.setattr(pde, "_step_spectrum", lambda uh, coeffs, ws: uh)
